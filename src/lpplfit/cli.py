@@ -6,13 +6,16 @@ Exit codes: 0 success, 2 input error, 3 all fits failed.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import os
 import sys
 from pathlib import Path
 
 from .driver import (
+    REPORT_SCHEMA_VERSION,
     AllFitsFailed,
     ClassifyThresholds,
     bench_command,
@@ -23,7 +26,7 @@ from .driver import (
 )
 from .ingest import IngestError, load_csv, to_series
 from .linear import InterleaveConfig
-from .model import LpplParams
+from .model import PARAM_NAMES, LpplParams
 from .solver import FitResult, LmConfig
 from .synth import PRESETS, SynthSpec, write_trace
 from .weights import parse_scheme
@@ -58,10 +61,18 @@ def _lm_config_from(args) -> LmConfig:
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise IngestError(f"solver config {args.config} must be a JSON object")
+        defaults = LmConfig()
         valid = {f.name for f in dataclasses.fields(LmConfig)}
         unknown = set(loaded) - valid
         if unknown:
             raise IngestError(f"unknown solver config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            # an int field takes an int; a float field takes an int or a float
+            want = int if isinstance(getattr(defaults, key), int) else (int, float)
+            if isinstance(value, bool) or not isinstance(value, want):
+                raise IngestError(f"solver config key {key!r} has the wrong type: {value!r}")
         kwargs.update(loaded)
     if args.max_iter is not None:
         kwargs["max_iterations"] = args.max_iter
@@ -140,15 +151,16 @@ def _emit(text: str, out):
 
 
 def _report_csv(report) -> str:
-    lines = ["seed,weights,average_error,T,m,C,omega,termination"]
+    # seed provenances and weight labels contain commas; csv quotes them
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["seed", "weights", "average_error", "T", "m", "C", "omega", "termination"])
     for rf in report.fits:
         p = rf.result.params
-        lines.append(
-            f"{rf.task.seed.provenance},{rf.task.scheme.label()},"
-            f"{rf.result.average_error!r},{p.T!r},{p.m!r},{p.C!r},{p.omega!r},"
-            f"{rf.result.termination}"
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow([rf.task.seed.provenance, rf.task.scheme.label(),
+                         *(float(v) for v in (rf.result.average_error, p.T, p.m, p.C, p.omega)),
+                         rf.result.termination])
+    return out.getvalue()
 
 
 def cmd_fit(args) -> int:
@@ -208,20 +220,29 @@ def cmd_bench(args) -> int:
 def cmd_classify(args) -> int:
     with open(args.report) as fh:
         report = json.load(fh)
-    best = report["best"]
-    params = LpplParams(**best["params"])
-    fit_result = FitResult(
-        params=params,
-        error=best["error"],
-        average_error=best["average_error"],
-        termination=best["termination"],
-        iterations=best["iterations"],
-        restarts=best["restarts"],
-        wall_time=0.0,
-    )
+    if not isinstance(report, dict):
+        raise IngestError(f"{args.report}: a fit report must be a JSON object")
+    version = report.get("schema_version")
+    if version != REPORT_SCHEMA_VERSION:
+        raise IngestError(f"{args.report}: report schema_version {version!r}, "
+                          f"expected {REPORT_SCHEMA_VERSION}")
+    try:
+        best = report["best"]
+        fit_result = FitResult(
+            params=LpplParams(**{name: float(best["params"][name]) for name in PARAM_NAMES}),
+            error=float(best["error"]),
+            average_error=float(best["average_error"]),
+            termination=str(best["termination"]),
+            iterations=int(best["iterations"]),
+            restarts=int(best["restarts"]),
+            wall_time=0.0,
+        )
+        baseline_average_error = float(report["baseline_average_error"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IngestError(f"{args.report}: malformed fit report ({exc!r})") from exc
     thresholds = ClassifyThresholds(m_hi=args.m_hi, omega_lo=args.omega_lo,
                                     c_lo=args.c_lo, min_reduction=args.min_reduction)
-    verdict = classify(fit_result, report["baseline_average_error"], thresholds)
+    verdict = classify(fit_result, baseline_average_error, thresholds)
     sys.stdout.write(json.dumps(
         {"label": verdict.label, "reasons": list(verdict.reasons)}, indent=2) + "\n")
     return EXIT_OK

@@ -239,11 +239,6 @@ def fit_command(
     )
 
 
-def _params_dict(p: LpplParams) -> dict:
-    return {"A": p.A, "B": p.B, "T": p.T, "m": p.m, "C": p.C,
-            "omega": p.omega, "phi": p.phi}
-
-
 def report_to_dict(report: RunReport) -> dict:
     """JSON-ready report; timing data is included only when collected.
 
@@ -254,7 +249,7 @@ def report_to_dict(report: RunReport) -> dict:
         return {
             "seed": rf.task.seed.provenance,
             "weights": rf.task.scheme.label(),
-            "params": _params_dict(rf.result.params),
+            "params": rf.result.params.to_dict(),
             "error": rf.result.error,
             "average_error": rf.result.average_error,
             "termination": rf.result.termination,
@@ -293,7 +288,7 @@ def write_plot_csv(path, log_prices: np.ndarray, best_params: LpplParams) -> Non
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("index,log_price,fit\n")
         for i, (lp, fv) in enumerate(zip(log_prices, fit), start=1):
-            fh.write(f"{i},{lp!r},{fv!r}\n")
+            fh.write(f"{i},{float(lp)!r},{float(fv)!r}\n")
 
 
 def bench_command(

@@ -4,25 +4,29 @@ Fixing (T, m, omega, phi) makes the fit linear in A, beta = B, and
 gamma = B * C: the model is A - beta*v(i) - gamma*z(i) with v = (T-i)^m and
 z = v * cos(omega ln(T-i) + phi). The interleave alternates a capped LM run
 with this linear solve, accepting a linear result only when it strictly
-reduces E, and adapts the LM iteration cap L by comparing the per-unit-time
-error reduction of the two solvers. LM always runs on all 7 parameters with
-the analytic Jacobian; (A, B, C) are never substituted into the objective.
+reduces E, and adapts the LM iteration cap L by comparing the error reduction
+per unit of cost of the two solvers. Costs are counted in iteration
+equivalents, not seconds, so identical runs follow identical schedules: an LM
+run of l iterations costs l + 1 and a linear solve costs 1. LM always runs on
+all 7 parameters with the analytic Jacobian; (A, B, C) are never substituted
+into the objective.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
-from .model import LpplParams, PriceSeries, evaluate_batch
+from .model import LpplParams, PriceSeries, evaluate_batch, lppl_kernel
 from .solver import FitResult, LmConfig, exact_fit_floor, lm_fit, project_params
 
 RANK_TOL = 1e-10
 RATE_TIE_BAND = 0.01  # rates within 1% count as a tie, broken toward more LM
+MAX_L = 4096  # ceiling of the adaptive LM iteration cap
 
 
 @dataclass(frozen=True)
@@ -53,10 +57,8 @@ def solve_linear_subsystem(
     """
     series.require_fit_ready()
     fixed.validate(series.n)
-    i = series.indices
-    d = fixed.T - i
-    v = np.power(d, fixed.m)
-    z = v * np.cos(fixed.omega * np.log(d) + fixed.phi)
+    _, v, cos_t = lppl_kernel(fixed, series.indices)
+    z = v * cos_t
 
     sw = np.sqrt(series.weights)
     X = np.column_stack([np.ones(series.n), -v, -z]) * sw[:, None]
@@ -81,22 +83,21 @@ def solve_linear_subsystem(
 
 @dataclass
 class InterleaveState:
-    """Adaptive-L bookkeeping: phase, run-time model, and last measurements."""
+    """Adaptive-L bookkeeping: phase, marginal LM cost, and last measurements."""
 
     L: int = 5
     phase: str = "startup"  # startup | regime
-    T0: float = 0.0
     T1: float = 0.0
-    prev_lm: Optional[tuple] = None  # (iterations, wall_time) of the invocation before last
-    last_lm: Optional[tuple] = None  # (iterations, wall_time, error_reduction)
-    last_linear: Optional[tuple] = None  # (wall_time, error_reduction)
+    prev_lm: Optional[tuple] = None  # (iterations, cost) of the invocation before last
+    last_lm: Optional[tuple] = None  # (iterations, cost, error_reduction)
+    last_linear: Optional[tuple] = None  # (cost, error_reduction)
 
 
 def _refit_runtime_model(state: InterleaveState) -> None:
-    """Re-estimate T = T1*l + T0 from the last two LM invocations.
+    """Re-estimate the marginal cost T1 per LM iteration from the last two LM invocations.
 
-    Requires distinct iteration counts; otherwise the 2x2 system is singular
-    and the previous coefficients are kept.
+    The slope of cost against iteration count; requires distinct iteration
+    counts, otherwise the previous T1 is kept.
     """
     if state.prev_lm is None or state.last_lm is None:
         return
@@ -104,19 +105,15 @@ def _refit_runtime_model(state: InterleaveState) -> None:
     lb, tb = state.last_lm[0], state.last_lm[1]
     if la == lb:
         return
-    T1 = (tb - ta) / (lb - la)
-    if T1 < 0:
-        return  # timing noise; keep the previous model
-    state.T1 = T1
-    state.T0 = tb - T1 * lb
+    state.T1 = (tb - ta) / (lb - la)
 
 
 def update_L(state: InterleaveState) -> int:
     """Advance the adaptive schedule one step and return the new L.
 
-    Startup doubles L while the LM marginal unit-time error reduction (with
-    the per-invocation setup cost T0 stripped via the run-time model) is at
-    least the linear solver's unit-time reduction, then hands over to the
+    Startup doubles L while the LM error reduction per marginal cost (T1 per
+    iteration, so the fixed cost of an invocation is left out) is at least
+    the linear solver's reduction per unit of cost, then hands over to the
     regime phase, which nudges L by one toward the faster reducer. A tie
     within 1% increments L: the nonlinear solver can leave the fixed
     subspace, the linear one cannot.
@@ -154,13 +151,6 @@ class InterleaveConfig:
     L: int = 5
     adaptive_L: bool = True
     max_rounds: int = 200
-    max_L: int = 4096
-    # Cost measure feeding the adaptive-L schedule. The deterministic mode
-    # prices an LM invocation at its iteration count and a linear solve at one
-    # iteration-equivalent, so identical runs produce identical schedules and
-    # therefore byte-identical reports; wall-clock mode adapts to the real
-    # machine but makes the iterate sequence depend on timing jitter.
-    wall_clock_costs: bool = False
 
 
 def interleave_fit(
@@ -168,7 +158,6 @@ def interleave_fit(
     seed: LpplParams,
     config: InterleaveConfig = InterleaveConfig(),
     threads: int = 1,
-    clock: Callable[[], float] = time.perf_counter,
 ) -> FitResult:
     """Alternate capped LM runs with the linear sub-system solve.
 
@@ -220,7 +209,6 @@ def interleave_fit(
     mu_bar = config.lm.mu_bar
     for _ in range(config.max_rounds):
         round_start_error = error
-        t0 = clock()
         # Resume the damping state from the previous round: a fresh mu_init
         # every round would make a stalled L-capped invocation look final
         # even though a larger mu (or a restart) would still make progress.
@@ -230,7 +218,6 @@ def interleave_fit(
             replace(config.lm, max_iterations=state.L, mu_init=mu, mu_bar=mu_bar),
             threads,
         )
-        t_lm = clock() - t0
         total_iterations += lm_res.iterations
         total_restarts += lm_res.restarts
         mu = lm_res.mu_final if lm_res.mu_final > 0 else config.lm.mu_init
@@ -243,9 +230,7 @@ def interleave_fit(
             history.extend(lm_res.error_history[1:])
         lm_stalled = lm_res.termination in ("converged", "mu-exhausted", "restart-cap")
 
-        t0 = clock()
         lin = solve_linear_subsystem(series, incumbent, threads)
-        t_lin = clock() - t0
         lin_improved = lin.status == "ok" and lin.error < error
         dE_lin = error - lin.error if lin_improved else 0.0
         if lin_improved:
@@ -271,13 +256,11 @@ def interleave_fit(
             return finish("converged")
 
         if config.adaptive_L:
-            if not config.wall_clock_costs:
-                t_lm = float(lm_res.iterations + 1)
-                t_lin = 1.0
             state.prev_lm = state.last_lm[:2] if state.last_lm is not None else None
-            state.last_lm = (max(1, lm_res.iterations), t_lm, max(dE_lm, 0.0))
-            state.last_linear = (t_lin, dE_lin)
+            state.last_lm = (max(1, lm_res.iterations), float(lm_res.iterations + 1),
+                             max(dE_lm, 0.0))
+            state.last_linear = (1.0, dE_lin)
             update_L(state)
-            state.L = min(state.L, config.max_L)
+            state.L = min(state.L, MAX_L)
 
     return finish("iteration-cap")  # the round cap ran out while still improving

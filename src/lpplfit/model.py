@@ -1,7 +1,9 @@
 """LPPL model function, analytic Jacobian, and the data-parallel evaluation kernel.
 
 The model is f(x) = A - B (T - x)^m (1 + C cos(omega ln(T - x) + phi)) fitted
-against log prices at integer indices 1..n. Evaluation of the residual vector
+against log prices at integer indices 1..n. `lppl_kernel` is the single
+definition of f and its partials; the public evaluators, the batch evaluator
+and the linear sub-system all go through it. Evaluation of the residual vector
 and the n x 7 Jacobian dominates fit run time, so the batch evaluator splits
 the index range into contiguous chunks processed by a thread pool; per-point
 outputs are identical regardless of thread count, and only the weighted
@@ -11,7 +13,7 @@ error reduction may differ by reassociation epsilon.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,10 +70,11 @@ class LpplParams:
                 index=n,
             )
 
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in PARAM_NAMES}
+
     def replace(self, **kw) -> "LpplParams":
-        d = {name: getattr(self, name) for name in PARAM_NAMES}
-        d.update(kw)
-        return LpplParams(**d)
+        return LpplParams(**{**self.to_dict(), **kw})
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,6 @@ class ResidualReport:
     residuals: np.ndarray
     error: float
     average_error: float
-    chunk_errors: tuple = field(default=(), compare=False)
 
 
 def _check_domain(params: LpplParams, x) -> None:
@@ -139,21 +141,49 @@ def _check_domain(params: LpplParams, x) -> None:
         )
 
 
-def _model_terms(params: LpplParams, x: np.ndarray):
-    """Shared intermediates: T-x, ln(T-x), (T-x)^m, theta, cos/sin theta."""
+def lppl_kernel(params: LpplParams, x: np.ndarray, jac=None):
+    """The one definition of f and its partials; requires T - x > 0 elementwise.
+
+    With g = (T-x)^m and theta = omega ln(T-x) + phi:
+      f = A - B g (1 + C cos theta)
+      df/dA = 1
+      df/dB = -g (1 + C cos theta)
+      df/dT = -B m (T-x)^(m-1) (1 + C cos theta) + B C omega (T-x)^(m-1) sin theta
+      df/dm = -B g ln(T-x) (1 + C cos theta)
+      df/dC = -B g cos theta
+      df/domega = B g C sin theta ln(T-x)
+      df/dphi = B g C sin theta
+
+    Returns (f, g, cos theta); g and g cos theta are the basis of the linear
+    (A, B, C) sub-system. When `jac` (len(x) x 7, columns in PARAM_NAMES
+    order) is given, the partials are written into it in place.
+    """
     d = params.T - x
     logd = np.log(d)
     g = np.power(d, params.m)
     theta = params.omega * logd + params.phi
-    return d, logd, g, theta, np.cos(theta), np.sin(theta)
+    cos_t = np.cos(theta)
+    B, C = params.B, params.C
+    osc = 1.0 + C * cos_t
+    f = params.A - B * g * osc
+    if jac is not None:
+        sin_t = np.sin(theta)
+        g1 = np.power(d, params.m - 1.0)
+        jac[:, 0] = 1.0
+        jac[:, 1] = -g * osc
+        jac[:, 2] = -B * params.m * g1 * osc + B * C * params.omega * g1 * sin_t
+        jac[:, 3] = -B * g * logd * osc
+        jac[:, 4] = -B * g * cos_t
+        jac[:, 5] = B * g * C * sin_t * logd
+        jac[:, 6] = B * g * C * sin_t
+    return f, g, cos_t
 
 
 def lppl_values(params: LpplParams, x: np.ndarray) -> np.ndarray:
     """Vectorized f(x); requires T - x > 0 elementwise."""
     x = np.asarray(x, dtype=float)
     _check_domain(params, x)
-    _, _, g, _, cos_t, _ = _model_terms(params, x)
-    return params.A - params.B * g * (1.0 + params.C * cos_t)
+    return lppl_kernel(params, x)[0]
 
 
 def lppl_value(params: LpplParams, x: float) -> float:
@@ -162,32 +192,11 @@ def lppl_value(params: LpplParams, x: float) -> float:
 
 
 def lppl_jacobian(params: LpplParams, x: np.ndarray) -> np.ndarray:
-    """Analytic partials of f at each x; rows ordered (A, B, T, m, C, omega, phi).
-
-    With g = (T-x)^m and theta = omega ln(T-x) + phi:
-      df/dA = 1
-      df/dB = -g (1 + C cos theta)
-      df/dT = -B m (T-x)^(m-1) (1 + C cos theta) + B C omega (T-x)^(m-1) sin theta
-      df/dm = -B g ln(T-x) (1 + C cos theta)
-      df/dC = -B g cos theta
-      df/domega = B g C sin theta ln(T-x)
-      df/dphi = B g C sin theta
-    """
+    """Analytic partials of f at each x; rows ordered (A, B, T, m, C, omega, phi)."""
     x = np.asarray(x, dtype=float)
     _check_domain(params, x)
-    d, logd, g, _, cos_t, sin_t = _model_terms(params, x)
-    B, C = params.B, params.C
-    osc = 1.0 + C * cos_t
-    g1 = np.power(d, params.m - 1.0)
-
     J = np.empty((x.shape[0], 7))
-    J[:, 0] = 1.0
-    J[:, 1] = -g * osc
-    J[:, 2] = -B * params.m * g1 * osc + B * C * params.omega * g1 * sin_t
-    J[:, 3] = -B * g * logd * osc
-    J[:, 4] = -B * g * cos_t
-    J[:, 5] = B * g * C * sin_t * logd
-    J[:, 6] = B * g * C * sin_t
+    lppl_kernel(params, x, J)
     return J
 
 
@@ -235,21 +244,8 @@ def evaluate_batch(params: LpplParams, series: PriceSeries, threads: int = 1):
 
     def run_chunk(lo_hi):
         lo, hi = lo_hi
-        xs = x[lo:hi]
-        d, logd, g, _, cos_t, sin_t = _model_terms(params, xs)
-        fs = params.A - params.B * g * (1.0 + params.C * cos_t)
-        r = fs - y[lo:hi]
+        r = lppl_kernel(params, x[lo:hi], J[lo:hi])[0] - y[lo:hi]
         residuals[lo:hi] = r
-        B, C = params.B, params.C
-        osc = 1.0 + C * cos_t
-        g1 = np.power(d, params.m - 1.0)
-        J[lo:hi, 0] = 1.0
-        J[lo:hi, 1] = -g * osc
-        J[lo:hi, 2] = -B * params.m * g1 * osc + B * C * params.omega * g1 * sin_t
-        J[lo:hi, 3] = -B * g * logd * osc
-        J[lo:hi, 4] = -B * g * cos_t
-        J[lo:hi, 5] = B * g * C * sin_t * logd
-        J[lo:hi, 6] = B * g * C * sin_t
         return float(np.sum(w[lo:hi] * r * r))
 
     if len(bounds) == 1:
@@ -266,6 +262,5 @@ def evaluate_batch(params: LpplParams, series: PriceSeries, threads: int = 1):
         residuals=residuals,
         error=error,
         average_error=error / d if d > 0 else np.inf,
-        chunk_errors=tuple(partials),
     )
     return report, J

@@ -15,7 +15,7 @@ stops there as converged.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -236,7 +236,3 @@ def lm_fit(
             mu *= MU_GROW
 
     return finish(termination)
-
-
-def with_iteration_cap(config: LmConfig, cap: int) -> LmConfig:
-    return replace(config, max_iterations=cap)

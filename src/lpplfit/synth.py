@@ -42,10 +42,8 @@ class SynthSpec:
             raise ValueError(f"n = {self.n} must be below the critical time T = {self.params.T}")
 
     def to_dict(self) -> dict:
-        p = self.params
         return {
-            "params": {"A": p.A, "B": p.B, "T": p.T, "m": p.m, "C": p.C,
-                       "omega": p.omega, "phi": p.phi},
+            "params": self.params.to_dict(),
             "sigma": self.sigma,
             "n": self.n,
             "seed": int(self.seed),

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -53,12 +54,21 @@ def test_fit_csv_format_and_plot(tmp_path):
     report = tmp_path / "report.csv"
     plot = tmp_path / "plot.csv"
     assert main(["fit", str(trace), "--column", "price", *FAST_FIT,
+                 "--weights", "uniform", "--weights", "step:101,300",
                  "--format", "csv", "--out", str(report),
                  "--plot-csv", str(plot)]) == EXIT_OK
     assert report.read_text().splitlines()[0].startswith("seed,weights,average_error")
+    # triple provenances and step labels contain commas
+    rows = list(csv.reader(report.read_text().splitlines()))
+    assert any(r[1] == "step:101,300" for r in rows[1:])
+    assert all(len(r) == 8 for r in rows)
     lines = plot.read_text().splitlines()
     assert lines[0] == "index,log_price,fit"
     assert len(lines) == 401
+    for k, line in enumerate(lines[1:], start=1):
+        index, log_price, fit = line.split(",")
+        assert int(index) == k
+        float(log_price), float(fit)
 
 
 def test_fit_multiple_weight_schemes(tmp_path, capsys):
@@ -123,6 +133,51 @@ def test_classify_reapplies_thresholds(tmp_path, capsys):
 
 def test_classify_missing_report(tmp_path):
     assert main(["classify", str(tmp_path / "none.json")]) == EXIT_INPUT
+
+
+BEST = {"params": {"A": 5.0, "B": 0.02, "T": 1100.0, "m": 0.68, "C": 0.05,
+                   "omega": 9.0, "phi": 0.0},
+        "error": 1.0, "average_error": 0.001, "termination": "converged",
+        "iterations": 10, "restarts": 0}
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param("classify", '{"best": {}}', id="classify-no-version"),
+    pytest.param("classify", "[1, 2]", id="classify-list"),
+    pytest.param("classify", '{"schema_version": 1, "best": {}, "baseline_average_error": 0.01}',
+                 id="classify-empty-best"),
+    pytest.param("classify", json.dumps({"schema_version": 1, "best": {**BEST, "params": [1, 2]},
+                                         "baseline_average_error": 0.01}),
+                 id="classify-params-list"),
+    pytest.param("classify", json.dumps({"schema_version": 1, "best": {**BEST, "error": "low"},
+                                         "baseline_average_error": 0.01}),
+                 id="classify-error-string"),
+    pytest.param("classify", json.dumps({"schema_version": 2, "best": BEST,
+                                         "baseline_average_error": 0.01}),
+                 id="classify-other-version"),
+    pytest.param("config", "5", id="config-number"),
+    pytest.param("config", '{"max_iterations": "30"}', id="config-int-as-string"),
+    pytest.param("config", '{"max_iterations": 30.5}', id="config-int-as-float"),
+    pytest.param("config", '{"mu_init": null}', id="config-null"),
+    pytest.param("config", '{"gradient_tol": true}', id="config-bool"),
+])
+def test_malformed_json_is_input_error(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if command == "classify":
+        argv = ["classify", str(bad)]
+    else:
+        argv = ["fit", str(run_synth(tmp_path)), "--column", "price", "--config", str(bad)]
+    assert main(argv) == EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
+def test_classify_accepts_current_schema(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"schema_version": 1, "best": BEST,
+                                  "baseline_average_error": 0.01}))
+    assert main(["classify", str(report)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["label"] == "lppl-bubble"
 
 
 def test_bench_smoke(tmp_path):

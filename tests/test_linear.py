@@ -98,26 +98,20 @@ class TestLinearSubsystem:
 
 class TestRuntimeModel:
     def test_two_point_fit_by_hand(self):
-        # (l=5, t=12) and (l=10, t=22) solve to T1 = 2, T0 = 2
+        # (l=5, t=12) and (l=10, t=22) give the slope T1 = 2
         state = InterleaveState(prev_lm=(5, 12.0), last_lm=(10, 22.0, 1.0))
         _refit_runtime_model(state)
         assert state.T1 == pytest.approx(2.0)
-        assert state.T0 == pytest.approx(2.0)
 
     def test_equal_iteration_counts_keep_previous(self):
-        state = InterleaveState(T0=1.0, T1=3.0, prev_lm=(5, 12.0), last_lm=(5, 30.0, 1.0))
+        state = InterleaveState(T1=3.0, prev_lm=(5, 12.0), last_lm=(5, 30.0, 1.0))
         _refit_runtime_model(state)
-        assert (state.T0, state.T1) == (1.0, 3.0)
-
-    def test_negative_slope_kept_out(self):
-        state = InterleaveState(T0=1.0, T1=3.0, prev_lm=(10, 30.0), last_lm=(20, 10.0, 1.0))
-        _refit_runtime_model(state)
-        assert (state.T0, state.T1) == (1.0, 3.0)
+        assert state.T1 == 3.0
 
 
 class TestUpdateL:
     def scripted(self, L=5, phase="startup", T1=2.0):
-        return InterleaveState(L=L, phase=phase, T0=2.0, T1=T1)
+        return InterleaveState(L=L, phase=phase, T1=T1)
 
     def test_startup_doubles_while_lm_wins(self):
         state = self.scripted()
@@ -199,27 +193,6 @@ class TestInterleaveFit:
         # L stays fixed and the fit still makes substantial progress
         start_error = evaluate_batch(start, series)[0].error
         assert res.error < 1e-3 * start_error
-
-    def test_deterministic_with_scripted_clock(self):
-        spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=500, seed=13)
-        series = generate_trace(spec)
-        start = LpplParams(*(v * 1.03 for v in spec.params.as_array()))
-
-        def run():
-            t = [0.0]
-
-            def clock():
-                t[0] += 1.0
-                return t[0]
-
-            # fabricated timings can push the adaptive schedule to its cap,
-            # so keep the cap and round count small
-            cfg = InterleaveConfig(max_rounds=12, max_L=16, wall_clock_costs=True)
-            return interleave_fit(series, start, cfg, clock=clock)
-
-        a, b = run(), run()
-        assert a.params == b.params and a.error == b.error
-        assert a.iterations == b.iterations
 
     def test_deterministic_under_real_clock(self):
         # the default cost model prices rounds in iterations, not seconds, so

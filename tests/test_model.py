@@ -107,6 +107,11 @@ class TestEvaluateBatch:
         np.testing.assert_array_equal(rep1.residuals, rep8.residuals)
         np.testing.assert_array_equal(J1, J8)
         assert rep1.error == pytest.approx(rep8.error, rel=1e-14)
+        # the batch evaluator and the public model functions share one kernel
+        x = series.indices
+        for rep, J in ((rep1, J1), (rep8, J8)):
+            assert np.array_equal(J, lppl_jacobian(p, x))
+            assert np.array_equal(rep.residuals, lppl_values(p, x) - series.log_prices)
 
     def test_all_zero_weights_zero_error(self):
         n = 50
