@@ -216,7 +216,7 @@ def fit_command(
     # reported parameters against the reported data and weights.
     series = PriceSeries(log_prices=log_prices,
                          weights=build_weights(best.task.scheme, n))
-    recheck, _ = evaluate_batch(best.result.params, series, threads)
+    recheck, _ = evaluate_batch(best.result.params, series, threads, jacobian=False)
     if not np.isclose(recheck.error, best.result.error, rtol=1e-9, atol=1e-12):
         raise RuntimeError(
             f"best-fit error {best.result.error} not reproducible "
@@ -224,7 +224,7 @@ def fit_command(
         )
 
     baseline_seed = exponential_prefit(series)
-    baseline_report, _ = evaluate_batch(baseline_seed.params, series, threads)
+    baseline_report, _ = evaluate_batch(baseline_seed.params, series, threads, jacobian=False)
 
     verdict = classify(best.result, baseline_report.average_error, thresholds)
     return RunReport(

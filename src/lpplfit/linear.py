@@ -75,7 +75,7 @@ def solve_linear_subsystem(
 
     C = gamma / beta
     params = fixed.replace(A=A, B=beta, C=C)
-    report, _ = evaluate_batch(params, series, threads)
+    report, _ = evaluate_batch(params, series, threads, jacobian=False)
     return LinearSolveResult(
         status="ok", A=A, beta=beta, gamma=gamma, C=C, error=report.error, params=params
     )
@@ -175,7 +175,7 @@ def interleave_fit(
     n = series.n
     d = series.degrees_of_freedom
     incumbent = project_params(seed, n)
-    report, _ = evaluate_batch(incumbent, series, threads)
+    report, _ = evaluate_batch(incumbent, series, threads, jacobian=False)
     error = report.error
     history = [error]
 

@@ -2,18 +2,26 @@
 
 The model is f(x) = A - B (T - x)^m (1 + C cos(omega ln(T - x) + phi)) fitted
 against log prices at integer indices 1..n. `lppl_kernel` is the single
-definition of f and its partials; the public evaluators, the batch evaluator
-and the linear sub-system all go through it. Evaluation of the residual vector
-and the n x 7 Jacobian dominates fit run time, so the batch evaluator splits
-the index range into contiguous chunks processed by a thread pool; per-point
-outputs are identical regardless of thread count, and only the weighted
-error reduction may differ by reassociation epsilon.
+definition of f and its partials, in two stages: the value stage computes f
+and keeps its intermediates (T - x, ln(T - x), (T - x)^m, theta, cos theta,
+1 + C cos theta), and the partials stage adds sin theta and (T - x)^(m-1)
+and writes the 7 columns. The public evaluators, scalar and vector, the
+batch evaluator and the linear sub-system all go through it.
+
+Evaluation dominates fit run time. A solver needs the residuals at every
+trial point but the n x 7 Jacobian only at the points it accepts, so the
+batch evaluator can run the value stage alone and complete the Jacobian
+later from the kept intermediates, without recomputing a log, power or
+cosine. It splits the index range into contiguous chunks processed by a
+thread pool; per-point outputs are identical regardless of thread count, and
+only the weighted error reduction may differ by reassociation epsilon.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,7 +139,11 @@ class ResidualReport:
 
 
 def _check_domain(params: LpplParams, x) -> None:
-    x = np.asarray(x, dtype=float)
+    """Raise LpplDomainError at the first x with T - x <= 0; x is a float or an array."""
+    if isinstance(x, float):
+        if params.T - x <= 0:
+            raise LpplDomainError(f"T - x <= 0 at x={x} (T={params.T})", index=x)
+        return
     bad = params.T - x <= 0
     if np.any(bad):
         idx = int(np.argmax(bad))
@@ -141,7 +153,46 @@ def _check_domain(params: LpplParams, x) -> None:
         )
 
 
-def lppl_kernel(params: LpplParams, x: np.ndarray, jac=None):
+class KernelValues(NamedTuple):
+    """Output of the kernel's value stage: f and the intermediates the partials reuse."""
+
+    f: np.ndarray
+    d: np.ndarray  # T - x
+    logd: np.ndarray
+    g: np.ndarray  # (T - x)^m
+    theta: np.ndarray
+    cos_t: np.ndarray
+    osc: np.ndarray  # 1 + C cos theta
+
+
+def lppl_kernel_values(params: LpplParams, x) -> KernelValues:
+    """Value stage of `lppl_kernel`: f at x (a float or an array), with its intermediates."""
+    d = params.T - x
+    logd = np.log(d)
+    g = np.power(d, params.m)
+    theta = params.omega * logd + params.phi
+    cos_t = np.cos(theta)
+    osc = 1.0 + params.C * cos_t
+    f = params.A - params.B * g * osc
+    return KernelValues(f, d, logd, g, theta, cos_t, osc)
+
+
+def lppl_kernel_partials(params: LpplParams, v: KernelValues, jac) -> None:
+    """Partials stage of `lppl_kernel`: writes the 7 partials at v's points into jac[..., k]."""
+    B, C = params.B, params.C
+    g, logd, cos_t, osc = v.g, v.logd, v.cos_t, v.osc
+    sin_t = np.sin(v.theta)
+    g1 = np.power(v.d, params.m - 1.0)
+    jac[..., 0] = 1.0
+    jac[..., 1] = -g * osc
+    jac[..., 2] = -B * params.m * g1 * osc + B * C * params.omega * g1 * sin_t
+    jac[..., 3] = -B * g * logd * osc
+    jac[..., 4] = -B * g * cos_t
+    jac[..., 5] = B * g * C * sin_t * logd
+    jac[..., 6] = B * g * C * sin_t
+
+
+def lppl_kernel(params: LpplParams, x, jac=None):
     """The one definition of f and its partials; requires T - x > 0 elementwise.
 
     With g = (T-x)^m and theta = omega ln(T-x) + phi:
@@ -154,29 +205,15 @@ def lppl_kernel(params: LpplParams, x: np.ndarray, jac=None):
       df/domega = B g C sin theta ln(T-x)
       df/dphi = B g C sin theta
 
-    Returns (f, g, cos theta); g and g cos theta are the basis of the linear
-    (A, B, C) sub-system. When `jac` (len(x) x 7, columns in PARAM_NAMES
-    order) is given, the partials are written into it in place.
+    `x` is a float or an array. Returns (f, g, cos theta); g and g cos theta
+    are the basis of the linear (A, B, C) sub-system. When `jac` is given
+    (shape x.shape + (7,), columns in PARAM_NAMES order), the partials are
+    written into it in place.
     """
-    d = params.T - x
-    logd = np.log(d)
-    g = np.power(d, params.m)
-    theta = params.omega * logd + params.phi
-    cos_t = np.cos(theta)
-    B, C = params.B, params.C
-    osc = 1.0 + C * cos_t
-    f = params.A - B * g * osc
+    v = lppl_kernel_values(params, x)
     if jac is not None:
-        sin_t = np.sin(theta)
-        g1 = np.power(d, params.m - 1.0)
-        jac[:, 0] = 1.0
-        jac[:, 1] = -g * osc
-        jac[:, 2] = -B * params.m * g1 * osc + B * C * params.omega * g1 * sin_t
-        jac[:, 3] = -B * g * logd * osc
-        jac[:, 4] = -B * g * cos_t
-        jac[:, 5] = B * g * C * sin_t * logd
-        jac[:, 6] = B * g * C * sin_t
-    return f, g, cos_t
+        lppl_kernel_partials(params, v, jac)
+    return v.f, v.g, v.cos_t
 
 
 def lppl_values(params: LpplParams, x: np.ndarray) -> np.ndarray:
@@ -187,8 +224,10 @@ def lppl_values(params: LpplParams, x: np.ndarray) -> np.ndarray:
 
 
 def lppl_value(params: LpplParams, x: float) -> float:
-    """f(x) at a single point."""
-    return float(lppl_values(params, np.array([float(x)]))[0])
+    """f(x) at a single point; bit-identical to the matching element of `lppl_values`."""
+    x = float(x)
+    _check_domain(params, x)
+    return float(lppl_kernel(params, x)[0])
 
 
 def lppl_jacobian(params: LpplParams, x: np.ndarray) -> np.ndarray:
@@ -201,8 +240,12 @@ def lppl_jacobian(params: LpplParams, x: np.ndarray) -> np.ndarray:
 
 
 def lppl_jacobian_row(params: LpplParams, x: float) -> np.ndarray:
-    """Single-point 7-vector of partials."""
-    return lppl_jacobian(params, np.array([float(x)]))[0]
+    """Single-point 7-vector of partials; bit-identical to the matching row of `lppl_jacobian`."""
+    x = float(x)
+    _check_domain(params, x)
+    row = np.empty(7)
+    lppl_kernel(params, x, row)
+    return row
 
 
 def chunk_bounds(n: int, threads: int):
@@ -222,13 +265,28 @@ def chunk_bounds(n: int, threads: int):
     return bounds
 
 
-def evaluate_batch(params: LpplParams, series: PriceSeries, threads: int = 1):
+def _map_chunks(fn, bounds):
+    """fn(lo, hi) for each chunk, in a thread pool when there is more than one; chunk order."""
+    if len(bounds) == 1:
+        return [fn(*bounds[0])]
+    with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
+        return list(pool.map(lambda lo_hi: fn(*lo_hi), bounds))
+
+
+def evaluate_batch(
+    params: LpplParams, series: PriceSeries, threads: int = 1, jacobian: bool = True
+):
     """Residuals r_i = f(i) - ln p(i), weighted error E, and the full n x 7 Jacobian.
 
     Work is split over `threads` contiguous chunks. Residuals and Jacobian rows
     are exactly identical across thread counts; E is the chunk-ordered sum of
     per-chunk partial sums, so it is reproducible for a fixed thread count and
     differs across counts only by reduction-order epsilon.
+
+    Returns (report, J). With `jacobian=False` only the kernel's value stage
+    runs, and the second element is instead a function that completes J from
+    the value stage's kept intermediates, over the same chunks, and returns
+    it; the completed J is identical to the one `jacobian=True` gives.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -239,23 +297,23 @@ def evaluate_batch(params: LpplParams, series: PriceSeries, threads: int = 1):
     w = series.weights
 
     residuals = np.empty(n)
-    J = np.empty((n, 7))
+    J = np.empty((n, 7)) if jacobian else None
+    kept = {}  # chunk start -> value-stage intermediates, when J is deferred
     bounds = chunk_bounds(n, threads)
 
-    def run_chunk(lo_hi):
-        lo, hi = lo_hi
-        r = lppl_kernel(params, x[lo:hi], J[lo:hi])[0] - y[lo:hi]
+    def run_chunk(lo, hi):
+        v = lppl_kernel_values(params, x[lo:hi])
+        r = v.f - y[lo:hi]
         residuals[lo:hi] = r
+        if jacobian:
+            lppl_kernel_partials(params, v, J[lo:hi])
+        else:
+            kept[lo] = v
         return float(np.sum(w[lo:hi] * r * r))
 
-    if len(bounds) == 1:
-        partials = [run_chunk(bounds[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            partials = list(pool.map(run_chunk, bounds))
-
+    sums = _map_chunks(run_chunk, bounds)
     error = 0.0
-    for p in partials:  # deterministic chunk order
+    for p in sums:  # deterministic chunk order
         error += p
     d = series.degrees_of_freedom
     report = ResidualReport(
@@ -263,4 +321,12 @@ def evaluate_batch(params: LpplParams, series: PriceSeries, threads: int = 1):
         error=error,
         average_error=error / d if d > 0 else np.inf,
     )
-    return report, J
+    if jacobian:
+        return report, J
+
+    def complete_jacobian() -> np.ndarray:
+        J = np.empty((n, 7))
+        _map_chunks(lambda lo, hi: lppl_kernel_partials(params, kept[lo], J[lo:hi]), bounds)
+        return J
+
+    return report, complete_jacobian

@@ -132,6 +132,12 @@ def _solve_step(N: np.ndarray, g: np.ndarray, mu: float) -> Optional[np.ndarray]
     return delta
 
 
+def _normal_equations(J: np.ndarray, w: np.ndarray, r: np.ndarray):
+    """Gradient J'Wr and normal matrix J'WJ of the weighted problem."""
+    Jw = J * w[:, None]
+    return Jw.T @ r, Jw.T @ J
+
+
 def lm_fit(
     series: PriceSeries,
     start: LpplParams,
@@ -145,6 +151,11 @@ def lm_fit(
     converged once E is at the rounding floor (`exact_fit_floor`), checked
     before each step, so a start that is already exact takes 0 iterations.
     Identical inputs give identical results for a fixed thread count.
+
+    A trial point is evaluated for its residuals and E only. The Jacobian and
+    the normal equations are formed once per accepted iterate (and once at
+    the start), from the intermediates that evaluation kept, so a rejected
+    step costs one residual evaluation and one damped 7x7 solve.
     """
     t_start = time.perf_counter()
     series.require_fit_ready()
@@ -156,6 +167,7 @@ def lm_fit(
     params = project_params(start, n)
     report, J = evaluate_batch(params, series, threads)
     error = report.error
+    g, N = _normal_equations(J, w, report.residuals)
     history = [error]
 
     mu = config.mu_init
@@ -181,10 +193,6 @@ def lm_fit(
     while iterations < config.max_iterations:
         if error <= floor:
             return finish("converged")
-        Jw = J * w[:, None]
-        g = Jw.T @ report.residuals
-        N = Jw.T @ J
-
         if np.max(np.abs(g)) < config.gradient_tol:
             return finish("converged")
 
@@ -209,7 +217,9 @@ def lm_fit(
         iterations += 1
         candidate = project_params(LpplParams.from_array(params.as_array() + delta), n)
         try:
-            cand_report, cand_J = evaluate_batch(candidate, series, threads)
+            cand_report, cand_jacobian = evaluate_batch(
+                candidate, series, threads, jacobian=False
+            )
         except LpplDomainError:
             mu *= MU_GROW
             continue
@@ -219,8 +229,9 @@ def lm_fit(
                 np.abs(candidate.as_array() - params.as_array())
                 / np.maximum(1.0, np.abs(params.as_array()))
             )
-            params, report, J = candidate, cand_report, cand_J
+            params = candidate
             error = cand_report.error
+            g, N = _normal_equations(cand_jacobian(), w, cand_report.residuals)
             history.append(error)
             mu *= MU_SHRINK
             if step_scale < config.step_tol:

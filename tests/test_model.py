@@ -38,10 +38,31 @@ class TestLpplValue:
 
     def test_domain_error(self):
         p = LpplParams(A=5, B=0.02, T=100, m=0.5, C=0.05, omega=9, phi=0)
-        with pytest.raises(LpplDomainError):
-            lppl_value(p, 100)
-        with pytest.raises(LpplDomainError):
-            lppl_value(p, 150)
+        for scalar_path in (lppl_value, lppl_jacobian_row):
+            with pytest.raises(LpplDomainError):
+                scalar_path(p, 100)
+            with pytest.raises(LpplDomainError):
+                scalar_path(p, 150)
+
+    def test_scalar_paths_match_vector_paths(self):
+        # lppl_value / lppl_jacobian_row run the same kernel on a float, so
+        # they give the very bits of lppl_values / lppl_jacobian
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            p = LpplParams(
+                A=rng.uniform(-5, 10),
+                B=rng.uniform(1e-3, 1.0),
+                T=rng.uniform(1100, 3000),
+                m=rng.uniform(0.05, 1.0),
+                C=rng.uniform(-0.5, 0.5),
+                omega=rng.uniform(0.5, 20),
+                phi=rng.uniform(-10, 10),
+            )
+            xs = rng.uniform(1, 1000, size=10)
+            values, J = lppl_values(p, xs), lppl_jacobian(p, xs)
+            for k, x in enumerate(xs):
+                assert np.array_equal(lppl_value(p, float(x)), values[k])
+                assert np.array_equal(lppl_jacobian_row(p, float(x)), J[k])
 
 
 class TestJacobian:
@@ -112,6 +133,13 @@ class TestEvaluateBatch:
         for rep, J in ((rep1, J1), (rep8, J8)):
             assert np.array_equal(J, lppl_jacobian(p, x))
             assert np.array_equal(rep.residuals, lppl_values(p, x) - series.log_prices)
+        # residual-only evaluation gives the same residuals and E, and the
+        # Jacobian it completes later is the full one, at every thread count
+        for threads, rep in ((1, rep1), (8, rep8)):
+            lean, complete_jacobian = evaluate_batch(p, series, threads=threads, jacobian=False)
+            assert np.array_equal(lean.residuals, rep.residuals)
+            assert lean.error == rep.error
+            assert np.array_equal(complete_jacobian(), lppl_jacobian(p, x))
 
     def test_all_zero_weights_zero_error(self):
         n = 50
@@ -144,8 +172,9 @@ class TestEvaluateBatch:
     def test_domain_error_reports_index(self):
         series = make_series(100)
         p = PRESETS["base"].params.replace(T=50.0)
-        with pytest.raises(LpplDomainError):
-            evaluate_batch(p, series)
+        for jacobian in (True, False):
+            with pytest.raises(LpplDomainError):
+                evaluate_batch(p, series, jacobian=jacobian)
 
     def test_t_gap_guard(self):
         series = make_series(100)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
+from lpplfit import model
 from lpplfit.linear import solve_linear_subsystem
 from lpplfit.model import LpplParams, PriceSeries, lppl_values
 from lpplfit.solver import (
@@ -72,6 +73,24 @@ class TestLmFit:
         h = np.array(res.error_history)
         assert len(h) > 3
         assert np.all(np.diff(h) < 0)
+
+    def test_jacobian_only_at_accepted_iterates(self, monkeypatch):
+        # trial points are evaluated for residuals only; the partials are
+        # computed at the start and once per accepted step, never for a reject
+        spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=600, seed=4)
+        series = generate_trace(spec)
+        calls = []
+        partials = model.lppl_kernel_partials
+
+        def counting(params, v, jac):
+            calls.append(params)
+            partials(params, v, jac)
+
+        monkeypatch.setattr(model, "lppl_kernel_partials", counting)
+        res = lm_fit(series, perturbed(spec.params, 1.05))
+        accepted = len(res.error_history) - 1
+        assert res.iterations > accepted  # some trial points were rejected
+        assert len(calls) == len(res.error_history)
 
     def test_deterministic(self):
         spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=400, seed=9)
