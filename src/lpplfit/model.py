@@ -140,10 +140,6 @@ class ResidualReport:
 
 def _check_domain(params: LpplParams, x) -> None:
     """Raise LpplDomainError at the first x with T - x <= 0; x is a float or an array."""
-    if isinstance(x, float):
-        if params.T - x <= 0:
-            raise LpplDomainError(f"T - x <= 0 at x={x} (T={params.T})", index=x)
-        return
     bad = params.T - x <= 0
     if np.any(bad):
         idx = int(np.argmax(bad))
@@ -283,10 +279,10 @@ def evaluate_batch(
     per-chunk partial sums, so it is reproducible for a fixed thread count and
     differs across counts only by reduction-order epsilon.
 
-    Returns (report, J). With `jacobian=False` only the kernel's value stage
-    runs, and the second element is instead a function that completes J from
-    the value stage's kept intermediates, over the same chunks, and returns
-    it; the completed J is identical to the one `jacobian=True` gives.
+    Returns (report, J). Each chunk runs the kernel's value stage and keeps
+    its intermediates; a second pass over the same chunks completes J from
+    them. With `jacobian=False` that pass is left to the caller: the second
+    element is instead the function that runs it and returns J.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -297,18 +293,14 @@ def evaluate_batch(
     w = series.weights
 
     residuals = np.empty(n)
-    J = np.empty((n, 7)) if jacobian else None
-    kept = {}  # chunk start -> value-stage intermediates, when J is deferred
+    kept = {}  # chunk start -> value-stage intermediates
     bounds = chunk_bounds(n, threads)
 
     def run_chunk(lo, hi):
         v = lppl_kernel_values(params, x[lo:hi])
+        kept[lo] = v
         r = v.f - y[lo:hi]
         residuals[lo:hi] = r
-        if jacobian:
-            lppl_kernel_partials(params, v, J[lo:hi])
-        else:
-            kept[lo] = v
         return float(np.sum(w[lo:hi] * r * r))
 
     sums = _map_chunks(run_chunk, bounds)
@@ -321,12 +313,10 @@ def evaluate_batch(
         error=error,
         average_error=error / d if d > 0 else np.inf,
     )
-    if jacobian:
-        return report, J
 
     def complete_jacobian() -> np.ndarray:
         J = np.empty((n, 7))
         _map_chunks(lambda lo, hi: lppl_kernel_partials(params, kept[lo], J[lo:hi]), bounds)
         return J
 
-    return report, complete_jacobian
+    return report, (complete_jacobian() if jacobian else complete_jacobian)

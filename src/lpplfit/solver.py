@@ -165,9 +165,10 @@ def lm_fit(
     floor = exact_fit_floor(series)
 
     params = project_params(start, n)
-    report, J = evaluate_batch(params, series, threads)
-    error = report.error
-    g, N = _normal_equations(J, w, report.residuals)
+    start_report, start_jacobian = evaluate_batch(params, series, threads)
+    error = start_report.error
+    g, N = _normal_equations(start_jacobian, w, start_report.residuals)
+    del start_report, start_jacobian  # error, g and N carry the current iterate
     history = [error]
 
     mu = config.mu_init
