@@ -1,0 +1,71 @@
+"""Fit every pool trace of the benchmark workloads and compare each report with reference.json.
+
+Run from anywhere in an lpplfit checkout; the package is imported from its
+./src and the workloads from its ./perfbench, nothing is installed:
+
+    python3 scripts/check_reports.py [WORKLOAD ...]
+
+With no WORKLOAD every workload in ``perfbench/workloads.py`` is checked.
+Each trace goes through the workload's own ``run``, so it is fitted and
+checked exactly as a benchmark run fits and checks it. One line per trace,
+``workload label sha256 same|differs``, then one line per workload,
+``workload identical k/N, failed checks f``. The failed checks themselves go
+to standard error. The exit status is 1 when any report differs from
+``perfbench/reference.json`` or any check fails, else 0.
+
+A change that moves results on purpose no longer matches the reference; it
+is compared with its parent commit instead, by a ``diff`` of this script's
+output in the two checkouts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from workloads import WORKLOADS  # noqa: E402
+
+REFERENCE = ROOT / "perfbench" / "reference.json"
+
+
+def check_workload(name: str, reference: dict) -> bool:
+    """Fit and check every pool trace of one workload; True when all match and pass."""
+    workload = WORKLOADS[name]
+    pool = workload.pool()
+    identical = failed = 0
+    with tempfile.TemporaryDirectory(prefix=f"check-{name}-") as tmp:
+        for item in pool:
+            out = workload.run(workload.build(item, Path(tmp)))
+            same = out.sha256 == reference.get(item.label, {}).get("sha256")
+            identical += same
+            failed += out.failed
+            for what in out.failed_checks:
+                print(f"{name}: failed check: {what}", file=sys.stderr)
+            print(f"{name} {item.label} {out.sha256 or '-'} {'same' if same else 'differs'}",
+                  flush=True)
+    print(f"{name} identical {identical}/{len(pool)}, failed checks {failed}", flush=True)
+    return identical == len(pool) and failed == 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
+                        help=f"any of {', '.join(WORKLOADS)} (default: all)")
+    args = parser.parse_args(argv)
+    unknown = [w for w in args.workloads if w not in WORKLOADS]
+    if unknown:
+        parser.error(f"unknown workload(s) {', '.join(unknown)}; choose from {', '.join(WORKLOADS)}")
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    results = [check_workload(name, reference.get(name, {}))
+               for name in args.workloads or WORKLOADS]
+    return 0 if all(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

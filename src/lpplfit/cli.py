@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -56,11 +57,36 @@ def _on_off(text: str) -> bool:
     return text == "on"
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _load_json(path):
+    """Parse a JSON file; NaN, Infinity and numbers that overflow a float are input errors.
+
+    Python's json accepts all three, and a NaN compares false against every
+    threshold, so it would pass the checks it meets silently.
+    """
+    def finite(text, convert=float):
+        if not math.isfinite(float(text)):
+            raise IngestError(f"{path}: non-finite number {text} in JSON")
+        return convert(text)
+
+    with open(path) as fh:
+        return json.load(fh, parse_float=finite, parse_constant=finite,
+                         parse_int=lambda text: finite(text, int))
+
+
 def _lm_config_from(args) -> LmConfig:
     kwargs = {}
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        loaded = _load_json(args.config)
         if not isinstance(loaded, dict):
             raise IngestError(f"solver config {args.config} must be a JSON object")
         defaults = LmConfig()
@@ -77,6 +103,13 @@ def _lm_config_from(args) -> LmConfig:
     if args.max_iter is not None:
         kwargs["max_iterations"] = args.max_iter
     return LmConfig(**kwargs)
+
+
+def _add_threshold_flags(p):
+    p.add_argument("--m-hi", type=_finite_float, default=0.95)
+    p.add_argument("--omega-lo", type=_finite_float, default=1.5)
+    p.add_argument("--c-lo", type=_finite_float, default=0.01)
+    p.add_argument("--min-reduction", type=_finite_float, default=0.10)
 
 
 def _add_parallel_flags(p):
@@ -106,10 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--adaptive-L", type=_on_off, default=True, metavar="on|off")
     fit.add_argument("--max-iter", type=int, default=None, help="LM iteration cap per invocation")
     fit.add_argument("--config", default=None, help="JSON file with LmConfig keys")
-    fit.add_argument("--m-hi", type=float, default=0.95)
-    fit.add_argument("--omega-lo", type=float, default=1.5)
-    fit.add_argument("--c-lo", type=float, default=0.01)
-    fit.add_argument("--min-reduction", type=float, default=0.10)
+    _add_threshold_flags(fit)
     fit.add_argument("--timings", action="store_true",
                      help="include wall-clock timings in the report (breaks byte-determinism)")
     fit.add_argument("--out", default=None, help="report path (default: stdout)")
@@ -135,10 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cls = sub.add_parser("classify", help="re-apply verdict thresholds to a fit report")
     cls.add_argument("report", help="JSON report produced by `fit`")
-    cls.add_argument("--m-hi", type=float, default=0.95)
-    cls.add_argument("--omega-lo", type=float, default=1.5)
-    cls.add_argument("--c-lo", type=float, default=0.01)
-    cls.add_argument("--min-reduction", type=float, default=0.10)
+    _add_threshold_flags(cls)
 
     return parser
 
@@ -218,8 +245,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    with open(args.report) as fh:
-        report = json.load(fh)
+    report = _load_json(args.report)
     if not isinstance(report, dict):
         raise IngestError(f"{args.report}: a fit report must be a JSON object")
     version = report.get("schema_version")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -108,10 +109,12 @@ class PriceSeries:
     def n(self) -> int:
         return self.log_prices.shape[0]
 
-    @property
+    @cached_property
     def indices(self) -> np.ndarray:
-        """Sample positions 1..n as floats (1-based trading-period indexing)."""
-        return np.arange(1, self.n + 1, dtype=float)
+        """Sample positions 1..n as floats (1-based trading-period indexing), read-only."""
+        x = np.arange(1, self.n + 1, dtype=float)
+        x.flags.writeable = False
+        return x
 
     @property
     def degrees_of_freedom(self) -> int:

@@ -1,11 +1,12 @@
 """Levenberg-Marquardt for the 7-parameter LPPL fit.
 
 Damping uses Marquardt scaling (mu * diag(J'WJ)), since A and omega live on
-wildly different magnitudes. Constraints B > 0, 0 < m <= 1, T > n are enforced
-by projecting each candidate step onto the feasible box. When a step solve
-breaks down (singular system, non-finite step) or mu underflows to 0, the run
-restarts from the current iterate with mu set to a seed value mu_bar that is
-doubled on every restart up to a global cap.
+wildly different magnitudes. The iterate is a 7-vector in PARAM_NAMES order,
+and the constraints B > 0, 0 < m <= 1, T > n are one box (`_box`): the start
+and every trial point are clipped to it, so the model is only ever evaluated
+inside it. When a step solve breaks down (singular system, non-finite step)
+or mu underflows to 0, the run restarts from the current iterate with mu set
+to a seed value mu_bar that is doubled on every restart up to a global cap.
 
 A fit whose weighted error is at the rounding floor of the data (see
 `exact_fit_floor`) is exact: E >= 0, so it is a global minimum and the run
@@ -22,7 +23,7 @@ import numpy as np
 
 from .model import T_GAP, LpplParams, LpplDomainError, PriceSeries, evaluate_batch
 
-# Feasibility box used by the projection step.
+# Bounds of the feasibility box (`_box`).
 B_MIN = 1e-12
 M_MIN = 1e-6
 M_MAX = 1.0
@@ -73,16 +74,19 @@ class FitResult:
     mu_bar_final: float = field(default=0.0, compare=False)
 
 
-def project_params(params: LpplParams, n: int) -> LpplParams:
-    """Project onto the box {B >= 1e-12, 1e-6 <= m <= 1, T >= n + gap}."""
+def _box(n: int):
+    """The feasible box as 7-vectors (lo, hi) in PARAM_NAMES order; A, C, omega, phi are free."""
     t_min = n + T_GAP
     while t_min - n < T_GAP:  # rounding in n + gap can land just under the gap
         t_min = np.nextafter(t_min, np.inf)
-    return params.replace(
-        B=max(params.B, B_MIN),
-        m=min(max(params.m, M_MIN), M_MAX),
-        T=max(params.T, float(t_min)),
-    )
+    lo = np.array([-np.inf, B_MIN, t_min, M_MIN, -np.inf, -np.inf, -np.inf])
+    hi = np.array([np.inf, np.inf, np.inf, M_MAX, np.inf, np.inf, np.inf])
+    return lo, hi
+
+
+def project_params(params: LpplParams, n: int) -> LpplParams:
+    """Project onto the box {B >= 1e-12, 1e-6 <= m <= 1, T >= n + gap}."""
+    return LpplParams(*np.clip(params.as_array(), *_box(n)).tolist())
 
 
 def exact_fit_floor(series: PriceSeries) -> float:
@@ -116,12 +120,13 @@ def _solve_step(N: np.ndarray, g: np.ndarray, mu: float) -> Optional[np.ndarray]
     matrix is singular (e.g. C = 0 zeroes the omega and phi columns), which
     leaves the unidentifiable directions untouched instead of aborting.
     """
-    D = np.diag(N).copy()
+    M = N.copy()
+    diag = M.reshape(-1)[:: M.shape[0] + 1]  # a view of M's diagonal
     with np.errstate(over="ignore", invalid="ignore"):
         # a huge mu can overflow the damping term; the non-finite check below
         # routes that into the restart path
-        M = N + mu * np.diag(D)
-    if not np.all(np.isfinite(M)):
+        diag += mu * diag
+    if not np.isfinite(M).all():
         return None
     try:
         delta = np.linalg.solve(M, -g)
@@ -159,23 +164,22 @@ def lm_fit(
     """
     t_start = time.perf_counter()
     series.require_fit_ready()
-    n = series.n
     w = series.weights
     d = series.degrees_of_freedom
     floor = exact_fit_floor(series)
+    lo, hi = _box(series.n)
 
-    params = project_params(start, n)
-    start_report, start_jacobian = evaluate_batch(params, series, threads)
-    error = start_report.error
-    g, N = _normal_equations(start_jacobian, w, start_report.residuals)
-    del start_report, start_jacobian  # error, g and N carry the current iterate
+    x = np.clip(start.as_array(), lo, hi)
+    params = LpplParams(*x.tolist())
+    report, jacobian = evaluate_batch(params, series, threads, jacobian=False)
+    error = report.error
+    g, N = _normal_equations(jacobian(), w, report.residuals)
     history = [error]
 
     mu = config.mu_init
     mu_bar = config.mu_bar
     iterations = 0
     restarts = 0
-    termination = "iteration-cap"
 
     def finish(reason):
         return FitResult(
@@ -192,47 +196,33 @@ def lm_fit(
         )
 
     while iterations < config.max_iterations:
-        if error <= floor:
-            return finish("converged")
-        if np.max(np.abs(g)) < config.gradient_tol:
+        if error <= floor or np.max(np.abs(g)) < config.gradient_tol:
             return finish("converged")
 
-        restart_needed = False
-        if mu <= 0.0 or not np.isfinite(mu):
-            restart_needed = True
-        else:
-            delta = _solve_step(N, g, mu)
-            if delta is None:
-                restart_needed = True
-
-        if restart_needed:
+        delta = _solve_step(N, g, mu) if 0.0 < mu < np.inf else None
+        if delta is None:
             mu_bar, exhausted = restart_policy(mu_bar, config.mu_bar_cap)
             if exhausted:
                 return finish("mu-exhausted")
             restarts += 1
             if restarts >= config.max_restarts:
                 return finish("restart-cap")
-            mu = mu_bar  # continue from the current params, not the original seed
+            mu = mu_bar  # continue from the current iterate, not the original seed
             continue
 
         iterations += 1
-        candidate = project_params(LpplParams.from_array(params.as_array() + delta), n)
+        trial = np.clip(x + delta, lo, hi)
+        trial_params = LpplParams(*trial.tolist())
         try:
-            cand_report, cand_jacobian = evaluate_batch(
-                candidate, series, threads, jacobian=False
-            )
+            report, jacobian = evaluate_batch(trial_params, series, threads, jacobian=False)
         except LpplDomainError:
             mu *= MU_GROW
             continue
 
-        if cand_report.error < error:
-            step_scale = np.max(
-                np.abs(candidate.as_array() - params.as_array())
-                / np.maximum(1.0, np.abs(params.as_array()))
-            )
-            params = candidate
-            error = cand_report.error
-            g, N = _normal_equations(cand_jacobian(), w, cand_report.residuals)
+        if report.error < error:
+            step_scale = np.max(np.abs(trial - x) / np.maximum(1.0, np.abs(x)))
+            x, params, error = trial, trial_params, report.error
+            g, N = _normal_equations(jacobian(), w, report.residuals)
             history.append(error)
             mu *= MU_SHRINK
             if step_scale < config.step_tol:
@@ -247,4 +237,4 @@ def lm_fit(
         else:
             mu *= MU_GROW
 
-    return finish(termination)
+    return finish("iteration-cap")

@@ -160,6 +160,19 @@ BEST = {"params": {"A": 5.0, "B": 0.02, "T": 1100.0, "m": 0.68, "C": 0.05,
     pytest.param("config", '{"max_iterations": 30.5}', id="config-int-as-float"),
     pytest.param("config", '{"mu_init": null}', id="config-null"),
     pytest.param("config", '{"gradient_tol": true}', id="config-bool"),
+    pytest.param("classify", json.dumps({"schema_version": 1,
+                                         "best": {**BEST, "params": {**BEST["params"],
+                                                                     "m": float("nan")}},
+                                         "baseline_average_error": 0.01}),
+                 id="classify-nan-param"),
+    pytest.param("classify", json.dumps({"schema_version": 1, "best": BEST,
+                                         "baseline_average_error": float("inf")}),
+                 id="classify-infinite-baseline"),
+    pytest.param("config", '{"mu_init": NaN, "mu_bar": NaN}', id="config-nan"),
+    pytest.param("config", '{"mu_init": 1e400}', id="config-overflow"),
+    pytest.param("classify", json.dumps({"schema_version": 1, "best": BEST,
+                                         "baseline_average_error": 10**400}),
+                 id="classify-int-overflow"),
 ])
 def test_malformed_json_is_input_error(tmp_path, capsys, command, text):
     bad = tmp_path / "bad.json"
@@ -170,6 +183,26 @@ def test_malformed_json_is_input_error(tmp_path, capsys, command, text):
         argv = ["fit", str(run_synth(tmp_path)), "--column", "price", "--config", str(bad)]
     assert main(argv) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "classify"])
+@pytest.mark.parametrize("flag", ["--m-hi", "--omega-lo", "--c-lo", "--min-reduction"])
+def test_nan_threshold_flag_is_input_error(tmp_path, capsys, command, flag):
+    # a NaN threshold compares false against everything, so the check it sets
+    # would pass: classify would call a fit at m = 1, C = 0 lppl-bubble
+    if command == "fit":
+        argv = ["fit", str(run_synth(tmp_path)), "--column", "price", *FAST_FIT]
+    else:
+        report = tmp_path / "report.json"
+        params = {**BEST["params"], "m": 1.0, "C": 0.0}
+        report.write_text(json.dumps({"schema_version": 1, "best": {**BEST, "params": params},
+                                      "baseline_average_error": 0.01}))
+        argv = ["classify", str(report)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "nan"])
+    assert exc.value.code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error:" in err and flag in err
 
 
 def test_classify_accepts_current_schema(tmp_path, capsys):

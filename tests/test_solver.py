@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from lpplfit import model
+from lpplfit import model, solver
 from lpplfit.linear import solve_linear_subsystem
-from lpplfit.model import LpplParams, PriceSeries, lppl_values
+from lpplfit.model import T_GAP, LpplParams, PriceSeries, lppl_values
 from lpplfit.solver import (
     B_MIN,
     M_MAX,
@@ -155,6 +157,38 @@ class TestLmFit:
         bad = spec.params.replace(T=50.0, B=-1.0)  # outside the box and the domain
         res = lm_fit(series, bad, LmConfig(max_iterations=5))
         assert res.params.T > 200 and res.params.B >= B_MIN
+
+    def test_every_trial_point_is_in_the_box(self, monkeypatch):
+        # the start and every trial point go through solver.evaluate_batch
+        # (which the benchmark tracer wraps), clipped to the box
+        spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=300, seed=1)
+        series = generate_trace(spec)
+        seen = []
+        evaluate = solver.evaluate_batch
+
+        def recording(params, *args, **kwargs):
+            seen.append(params)
+            return evaluate(params, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "evaluate_batch", recording)
+        start = spec.params.replace(T=250.0, B=-0.5, m=1.5)
+        res = lm_fit(series, start, LmConfig(max_iterations=40))
+        assert res.iterations > 0
+        assert len(seen) == res.iterations + 1
+        for p in seen:
+            assert p.B >= B_MIN and M_MIN <= p.m <= M_MAX and p.T - series.n >= T_GAP
+
+    def test_huge_mu_restarts_without_warnings(self):
+        # mu * diag(N) overflows; _solve_step must report that as a restart,
+        # without a RuntimeWarning, and the run goes on from mu_bar
+        spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=300, seed=1)
+        series = generate_trace(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = lm_fit(series, perturbed(spec.params, 1.05),
+                         LmConfig(mu_init=1e308, max_iterations=20))
+        assert res.restarts >= 1
+        assert res.iterations > 0
 
     def test_exposes_damping_state(self):
         spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=300, seed=1)
