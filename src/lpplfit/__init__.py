@@ -15,7 +15,6 @@ from .weights import WeightScheme, build_weights, parse_scheme
 from .solver import FitResult, LmConfig, lm_fit, restart_policy
 from .linear import (
     InterleaveConfig,
-    InterleaveState,
     LinearSolveResult,
     interleave_fit,
     solve_linear_subsystem,

@@ -113,8 +113,10 @@ def _add_threshold_flags(p):
 
 
 def _add_parallel_flags(p):
-    p.add_argument("--jobs", type=int, default=1, help="concurrent fit tasks")
-    p.add_argument("--threads", type=int, default=1, help="evaluation workers per fit")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="concurrent fit tasks (0 or less: one per CPU)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="evaluation workers per fit (0 or less: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,10 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--preset", choices=sorted(PRESETS), default="base")
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out", required=True)
-    synth.add_argument("--sigma", type=float, default=None)
+    synth.add_argument("--sigma", type=_finite_float, default=None)
     synth.add_argument("--n", type=int, default=None)
     for name in ("A", "B", "T", "m", "C", "omega", "phi"):
-        synth.add_argument(f"--{name}", type=float, default=None)
+        synth.add_argument(f"--{name}", type=_finite_float, default=None)
 
     bench = sub.add_parser("bench", help="thread-scaling benchmark of the evaluation kernel")
     bench.add_argument("--n", type=int, default=100_000)

@@ -5,11 +5,12 @@ gamma = B * C: the model is A - beta*v(i) - gamma*z(i) with v = (T-i)^m and
 z = v * cos(omega ln(T-i) + phi). The interleave alternates a capped LM run
 with this linear solve, accepting a linear result only when it strictly
 reduces E, and adapts the LM iteration cap L by comparing the error reduction
-per unit of cost of the two solvers. Costs are counted in iteration
-equivalents, not seconds, so identical runs follow identical schedules: an LM
-run of l iterations costs l + 1 and a linear solve costs 1. LM always runs on
-all 7 parameters with the analytic Jacobian; (A, B, C) are never substituted
-into the objective.
+per unit of cost of the two solvers (`update_L`). Costs are counted in
+iteration equivalents, not seconds, so identical runs follow identical
+schedules: a linear solve costs 1, and an LM run of l iterations costs l + 1
+at the first update and max(1, l) after it. LM always runs on all 7
+parameters with the analytic Jacobian; (A, B, C) are never substituted into
+the objective.
 """
 
 from __future__ import annotations
@@ -81,68 +82,32 @@ def solve_linear_subsystem(
     )
 
 
-@dataclass
-class InterleaveState:
-    """Adaptive-L bookkeeping: phase, marginal LM cost, and last measurements."""
+def update_L(
+    L: int, phase: str, lm_iterations: int, dE_lm: float, dE_lin: float, first: bool
+) -> tuple[int, str]:
+    """One step of the adaptive schedule: the (L, phase) for the next round.
 
-    L: int = 5
-    phase: str = "startup"  # startup | regime
-    T1: float = 0.0
-    prev_lm: Optional[tuple] = None  # (iterations, cost) of the invocation before last
-    last_lm: Optional[tuple] = None  # (iterations, cost, error_reduction)
-    last_linear: Optional[tuple] = None  # (cost, error_reduction)
-
-
-def _refit_runtime_model(state: InterleaveState) -> None:
-    """Re-estimate the marginal cost T1 per LM iteration from the last two LM invocations.
-
-    The slope of cost against iteration count; requires distinct iteration
-    counts, otherwise the previous T1 is kept.
+    Each solver's rate is its error reduction per unit of cost. A linear
+    solve costs 1. An LM run of l iterations costs its whole l + 1 on the
+    first update and max(1, l) after it, when its fixed cost is already
+    paid. Startup doubles L while LM's rate is at least the linear one, then
+    hands over to the regime phase, which nudges L by one toward the faster
+    reducer. A tie within 1% increments L: the nonlinear solver can leave the
+    fixed subspace, the linear one cannot. L stays in [1, MAX_L].
     """
-    if state.prev_lm is None or state.last_lm is None:
-        return
-    la, ta = state.prev_lm[0], state.prev_lm[1]
-    lb, tb = state.last_lm[0], state.last_lm[1]
-    if la == lb:
-        return
-    state.T1 = (tb - ta) / (lb - la)
-
-
-def update_L(state: InterleaveState) -> int:
-    """Advance the adaptive schedule one step and return the new L.
-
-    Startup doubles L while the LM error reduction per marginal cost (T1 per
-    iteration, so the fixed cost of an invocation is left out) is at least
-    the linear solver's reduction per unit of cost, then hands over to the
-    regime phase, which nudges L by one toward the faster reducer. A tie
-    within 1% increments L: the nonlinear solver can leave the fixed
-    subspace, the linear one cannot.
-    """
-    _refit_runtime_model(state)
-    if state.last_lm is None or state.last_linear is None:
-        return state.L
-
-    l_last, t_lm, dE_lm = state.last_lm
-    t_lin, dE_lin = state.last_linear
-
-    lin_rate = dE_lin / t_lin if t_lin > 0 and dE_lin > 0 else 0.0
-    marginal_denom = state.T1 * l_last if state.T1 > 0 else t_lm
-    lm_rate = dE_lm / marginal_denom if marginal_denom > 0 and dE_lm > 0 else 0.0
-
-    if state.phase == "startup":
+    lm_cost = lm_iterations + 1 if first else max(1, lm_iterations)
+    lm_rate = dE_lm / lm_cost if dE_lm > 0 else 0.0
+    lin_rate = dE_lin if dE_lin > 0 else 0.0
+    if phase == "startup":
         if lm_rate >= lin_rate:
-            state.L = max(1, state.L * 2)
+            L *= 2
         else:
-            state.phase = "regime"
-            state.L = max(1, state.L - 1)
+            phase, L = "regime", L - 1
     else:
         ref = max(lm_rate, lin_rate)
         tie = ref == 0.0 or abs(lm_rate - lin_rate) <= RATE_TIE_BAND * ref
-        if tie or lm_rate > lin_rate:
-            state.L += 1
-        else:
-            state.L = max(1, state.L - 1)
-    return state.L
+        L += 1 if tie or lm_rate > lin_rate else -1
+    return min(max(1, L), MAX_L), phase
 
 
 @dataclass(frozen=True)
@@ -179,7 +144,7 @@ def interleave_fit(
     error = report.error
     history = [error]
 
-    state = InterleaveState(L=max(1, config.L))
+    L, phase = max(1, config.L), "startup"
     total_iterations = 0
     total_restarts = 0
 
@@ -207,7 +172,7 @@ def interleave_fit(
 
     mu = config.lm.mu_init
     mu_bar = config.lm.mu_bar
-    for _ in range(config.max_rounds):
+    for round_ in range(config.max_rounds):
         round_start_error = error
         # Resume the damping state from the previous round: a fresh mu_init
         # every round would make a stalled L-capped invocation look final
@@ -215,7 +180,7 @@ def interleave_fit(
         lm_res = lm_fit(
             series,
             incumbent,
-            replace(config.lm, max_iterations=state.L, mu_init=mu, mu_bar=mu_bar),
+            replace(config.lm, max_iterations=L, mu_init=mu, mu_bar=mu_bar),
             threads,
         )
         total_iterations += lm_res.iterations
@@ -256,11 +221,6 @@ def interleave_fit(
             return finish("converged")
 
         if config.adaptive_L:
-            state.prev_lm = state.last_lm[:2] if state.last_lm is not None else None
-            state.last_lm = (max(1, lm_res.iterations), float(lm_res.iterations + 1),
-                             max(dE_lm, 0.0))
-            state.last_linear = (1.0, dE_lin)
-            update_L(state)
-            state.L = min(state.L, MAX_L)
+            L, phase = update_L(L, phase, lm_res.iterations, dE_lm, dE_lin, round_ == 0)
 
     return finish("iteration-cap")  # the round cap ran out while still improving

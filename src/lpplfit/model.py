@@ -13,8 +13,8 @@ trial point but the n x 7 Jacobian only at the points it accepts, so the
 batch evaluator can run the value stage alone and complete the Jacobian
 later from the kept intermediates, without recomputing a log, power or
 cosine. It splits the index range into contiguous chunks processed by a
-thread pool; per-point outputs are identical regardless of thread count, and
-only the weighted error reduction may differ by reassociation epsilon.
+thread pool and sums E once over the whole residual vector, so every output
+is bit-identical whatever the thread count.
 """
 
 from __future__ import annotations
@@ -277,10 +277,9 @@ def evaluate_batch(
 ):
     """Residuals r_i = f(i) - ln p(i), weighted error E, and the full n x 7 Jacobian.
 
-    Work is split over `threads` contiguous chunks. Residuals and Jacobian rows
-    are exactly identical across thread counts; E is the chunk-ordered sum of
-    per-chunk partial sums, so it is reproducible for a fixed thread count and
-    differs across counts only by reduction-order epsilon.
+    Work is split over `threads` contiguous chunks. E is summed once over the
+    whole residual vector after the chunks finish, so the residuals, E and J
+    are bit-identical across thread counts.
 
     Returns (report, J). Each chunk runs the kernel's value stage and keeps
     its intermediates; a second pass over the same chunks completes J from
@@ -302,14 +301,10 @@ def evaluate_batch(
     def run_chunk(lo, hi):
         v = lppl_kernel_values(params, x[lo:hi])
         kept[lo] = v
-        r = v.f - y[lo:hi]
-        residuals[lo:hi] = r
-        return float(np.sum(w[lo:hi] * r * r))
+        residuals[lo:hi] = v.f - y[lo:hi]
 
-    sums = _map_chunks(run_chunk, bounds)
-    error = 0.0
-    for p in sums:  # deterministic chunk order
-        error += p
+    _map_chunks(run_chunk, bounds)
+    error = float(np.sum(w * residuals * residuals))
     d = series.degrees_of_freedom
     report = ResidualReport(
         residuals=residuals,

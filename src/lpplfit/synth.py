@@ -38,6 +38,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
         if self.n >= self.params.T:
             raise ValueError(f"n = {self.n} must be below the critical time T = {self.params.T}")
 
@@ -116,16 +118,24 @@ def standard_suite(master_seed: int) -> List[Tuple[str, int, SynthSpec]]:
 
 
 def write_trace(path, spec: SynthSpec) -> PriceSeries:
-    """Write `index,log_price,price` CSV plus a .json sidecar with the spec."""
+    """Write `index,log_price,price` CSV plus a .json sidecar with the spec.
+
+    The rows are built first, so a spec whose prices are not finite floats
+    raises ValueError and leaves neither file behind.
+    """
     path = Path(path)
-    log_prices = generate_log_prices(spec)
+    series = generate_trace(spec)  # rejects non-finite log prices
+    try:
+        rows = [[i, repr(lp), repr(math.exp(lp))]
+                for i, lp in enumerate(series.log_prices.tolist(), start=1)]
+    except OverflowError:
+        raise ValueError("a price of the trace overflows a float") from None
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "log_price", "price"])
-        for i, lp in enumerate(log_prices, start=1):
-            writer.writerow([i, repr(float(lp)), repr(math.exp(float(lp)))])
+        writer.writerows(rows)
     sidecar = path.with_suffix(path.suffix + ".json")
     with open(sidecar, "w") as fh:
         json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return PriceSeries(log_prices=log_prices, weights=np.ones(spec.n))
+    return series

@@ -31,6 +31,29 @@ def test_synth_overrides(tmp_path):
     assert len((tmp_path / "short.csv").read_text().splitlines()) == 201
 
 
+@pytest.mark.parametrize("flag", ["--sigma", "--T", "--m"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_synth_flag_writes_nothing(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--n", "50", "--out", str(tmp_path / "x.csv"), flag, value])
+    assert exc.value.code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error:" in err and flag in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("extra", [
+    ["--n", "0"],  # no samples
+    ["--B", "1e308", "--sigma", "0"],  # log prices overflow to -inf
+    ["--A", "800"],  # prices overflow a float
+])
+def test_bad_synth_trace_writes_nothing(tmp_path, capsys, extra):
+    assert main(["synth", "--n", "50", "--out", str(tmp_path / "x.csv"), *extra]) == EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_stdout_json(tmp_path, capsys):
     trace = run_synth(tmp_path)
     assert main(["fit", str(trace), "--column", "price", *FAST_FIT]) == EXIT_OK

@@ -16,7 +16,7 @@ from lpplfit.driver import (
 from lpplfit.model import LpplParams
 from lpplfit.solver import FitResult, LmConfig
 from lpplfit.linear import InterleaveConfig
-from lpplfit.synth import PRESETS, SynthSpec, generate_log_prices
+from lpplfit.synth import PRESETS, SynthSpec, generate_log_prices, standard_suite
 from lpplfit.weights import WeightScheme
 
 
@@ -131,6 +131,17 @@ class TestFitCommand:
         a = fit_command(prices, [WeightScheme.uniform()], config=quick_config(), jobs=1)
         b = fit_command(prices, [WeightScheme.uniform()], config=quick_config(), jobs=4)
         assert report_to_json(a) == report_to_json(b)
+
+    @pytest.mark.parametrize("index", [0, 5], ids=["base#0", "oscillatory#0"])
+    def test_threads_do_not_change_report(self, index):
+        # E is summed once over the whole residual vector, so the chunking
+        # that --threads sets cannot move a bit of any fit
+        _, _, spec = standard_suite(20260823)[index]
+        lp = generate_log_prices(spec)
+        one, three = (report_to_json(fit_command(lp, [WeightScheme.uniform()],
+                                                 auto_triples=2, threads=threads))
+                      for threads in (1, 3))
+        assert one == three
 
     def test_report_json_deterministic(self, prices):
         a = fit_command(prices, [WeightScheme.uniform()], config=quick_config())

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from lpplfit.linear import (
+    MAX_L,
     InterleaveConfig,
-    InterleaveState,
-    _refit_runtime_model,
     interleave_fit,
     solve_linear_subsystem,
     update_L,
 )
 from lpplfit.model import LpplParams, PriceSeries, evaluate_batch
 from lpplfit.solver import LmConfig, lm_fit
-from lpplfit.synth import PRESETS, SynthSpec, generate_trace
+from lpplfit.seeds import exponential_prefit
+from lpplfit.synth import PRESETS, SynthSpec, generate_trace, standard_suite
 
 
 def noiseless_base(n=1000, seed=0):
@@ -96,63 +96,43 @@ class TestLinearSubsystem:
         np.testing.assert_allclose([a.A, a.beta, a.C], [b.A, b.beta, b.C], rtol=1e-12)
 
 
-class TestRuntimeModel:
-    def test_two_point_fit_by_hand(self):
-        # (l=5, t=12) and (l=10, t=22) give the slope T1 = 2
-        state = InterleaveState(prev_lm=(5, 12.0), last_lm=(10, 22.0, 1.0))
-        _refit_runtime_model(state)
-        assert state.T1 == pytest.approx(2.0)
-
-    def test_equal_iteration_counts_keep_previous(self):
-        state = InterleaveState(T1=3.0, prev_lm=(5, 12.0), last_lm=(5, 30.0, 1.0))
-        _refit_runtime_model(state)
-        assert state.T1 == 3.0
-
-
 class TestUpdateL:
-    def scripted(self, L=5, phase="startup", T1=2.0):
-        return InterleaveState(L=L, phase=phase, T1=T1)
+    # update_L(L, phase, lm_iterations, dE_lm, dE_lin, first) -> (L, phase);
+    # a linear solve costs 1, so its rate is its error reduction
 
     def test_startup_doubles_while_lm_wins(self):
-        state = self.scripted()
-        # LM: 5 iterations, reduction 100 over marginal time T1*5 = 10 -> rate 10
-        # linear: reduction 4 over 1s -> rate 4
-        state.last_lm = (5, 12.0, 100.0)
-        state.last_linear = (1.0, 4.0)
-        assert update_L(state) == 10
-        assert state.phase == "startup"
+        # LM: reduction 100 over 5 iterations -> rate 20; linear: rate 4
+        assert update_L(5, "startup", 5, 100.0, 4.0, first=False) == (10, "startup")
 
     def test_startup_hands_over_when_linear_wins(self):
-        state = self.scripted(L=16)
-        state.last_lm = (16, 34.0, 10.0)  # rate 10 / 32
-        state.last_linear = (1.0, 4.0)  # rate 4
-        assert update_L(state) == 15
-        assert state.phase == "regime"
+        # LM rate 10 / 16 against the linear rate 4
+        assert update_L(16, "startup", 16, 10.0, 4.0, first=False) == (15, "regime")
 
     def test_regime_steps_toward_faster_reducer(self):
-        state = self.scripted(L=8, phase="regime")
-        state.last_lm = (8, 18.0, 100.0)
-        state.last_linear = (1.0, 4.0)
-        assert update_L(state) == 9
-        state.last_lm = (9, 20.0, 1.0)
-        assert update_L(state) == 8
+        assert update_L(8, "regime", 8, 100.0, 4.0, first=False) == (9, "regime")
+        assert update_L(9, "regime", 9, 1.0, 4.0, first=False) == (8, "regime")
 
     def test_tie_increments(self):
-        state = self.scripted(L=8, phase="regime")
         # rates 5.0 vs 4.96: within the 1% band, broken toward more LM
-        state.last_lm = (8, 18.0, 80.0)
-        state.last_linear = (1.0, 4.96)
-        assert update_L(state) == 9
+        assert update_L(8, "regime", 8, 40.0, 4.96, first=False) == (9, "regime")
 
     def test_L_floor_is_one(self):
-        state = self.scripted(L=1, phase="regime")
-        state.last_lm = (1, 4.0, 0.0)
-        state.last_linear = (1.0, 4.0)
-        assert update_L(state) == 1
+        assert update_L(1, "regime", 1, 0.0, 4.0, first=False) == (1, "regime")
+        assert update_L(1, "startup", 1, 0.0, 4.0, first=False) == (1, "regime")
 
-    def test_no_measurements_is_noop(self):
-        state = InterleaveState(L=7)
-        assert update_L(state) == 7
+    def test_first_update_charges_whole_cost(self):
+        # 5 iterations reducing E by 24: rate 24 / 6 = 4 on the first update,
+        # 24 / 5 = 4.8 after it, against the linear rate 4.5
+        assert update_L(5, "startup", 5, 24.0, 4.5, first=True) == (4, "regime")
+        assert update_L(5, "startup", 5, 24.0, 4.5, first=False) == (10, "startup")
+        # a zero-iteration run still costs 1
+        assert update_L(5, "startup", 0, 0.0, 0.0, first=False) == (10, "startup")
+
+    def test_MAX_L_ceiling(self):
+        assert update_L(3000, "startup", 3000, 1e6, 1.0, first=False) == (MAX_L, "startup")
+        assert update_L(MAX_L, "regime", MAX_L, 1e6, 1.0, first=False) == (MAX_L, "regime")
+        # a --L above the ceiling is clamped on a handover too
+        assert update_L(10_000, "startup", 10_000, 1.0, 4.0, first=True) == (MAX_L, "regime")
 
 
 class TestInterleaveFit:
@@ -204,3 +184,19 @@ class TestInterleaveFit:
         b = interleave_fit(series, start)
         assert a.params == b.params and a.error == b.error
         assert a.iterations == b.iterations
+
+    def test_pinned_adaptive_schedule(self, monkeypatch):
+        # frozen base#4 from its exponential seed: round 1 (L = 5) uses all 5
+        # iterations and, charged its whole cost 6, loses to the linear solve,
+        # so the schedule hands over and round 2 runs with L = 4
+        caps = []
+
+        def recording_lm_fit(series, start, config, threads=1):
+            caps.append(config.max_iterations)
+            return lm_fit(series, start, config, threads)
+
+        monkeypatch.setattr("lpplfit.linear.lm_fit", recording_lm_fit)
+        _, _, spec = standard_suite(20260823)[4]
+        series = generate_trace(spec)
+        interleave_fit(series, exponential_prefit(series).params, InterleaveConfig(max_rounds=3))
+        assert caps == [5, 4, 5]
