@@ -114,7 +114,8 @@ def _add_threshold_flags(p):
 
 def _add_parallel_flags(p):
     p.add_argument("--jobs", type=int, default=1,
-                   help="concurrent fit tasks (0 or less: one per CPU)")
+                   help="concurrent fit tasks (0 or less: one per CPU); threads that "
+                        "contend for the GIL, so more than 1 is usually slower")
     p.add_argument("--threads", type=int, default=1,
                    help="evaluation workers per fit (0 or less: 1)")
 
@@ -139,8 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--interleave", type=_on_off, default=True, metavar="on|off")
     fit.add_argument("--L", type=int, default=5, help="LM iteration bound per interleave round")
     fit.add_argument("--adaptive-L", type=_on_off, default=True, metavar="on|off")
-    fit.add_argument("--max-iter", type=int, default=None, help="LM iteration cap per invocation")
-    fit.add_argument("--config", default=None, help="JSON file with LmConfig keys")
+    fit.add_argument("--max-iter", type=int, default=None, help="LM iteration cap; "
+                     "only with --interleave off, which otherwise caps LM runs at L")
+    fit.add_argument("--config", default=None,
+                     help="JSON file with LmConfig keys (max_iterations as for --max-iter)")
     _add_threshold_flags(fit)
     fit.add_argument("--timings", action="store_true",
                      help="include wall-clock timings in the report (breaks byte-determinism)")

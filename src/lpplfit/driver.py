@@ -173,26 +173,25 @@ def fit_command(
 
     def run(task: FitTask):
         series = PriceSeries(log_prices=log_prices, weights=build_weights(task.scheme, n))
-        t0 = time.perf_counter()
         try:
             if interleave:
-                result = interleave_fit(series, task.seed.params, config, threads)
-            else:
-                result = lm_fit(series, task.seed.params, config.lm, threads)
+                return interleave_fit(series, task.seed.params, config, threads)
+            return lm_fit(series, task.seed.params, config.lm, threads)
         except Exception as exc:
-            return exc, time.perf_counter() - t0
-        return result, time.perf_counter() - t0
+            return exc
 
     failures: List[str] = []
     if jobs <= 1:
         raw = [run(t) for t in tasks]
     else:
+        # Not the model's evaluation pool: a task running on one of its
+        # workers would wait on chunk work queued behind itself.
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(run, tasks))
 
     fits: List[RankedFit] = []
     timings: List[dict] = []
-    for task, (result, elapsed) in zip(tasks, raw):
+    for task, result in zip(tasks, raw):
         if isinstance(result, Exception):
             failures.append(
                 f"{task.seed.provenance} / {task.scheme.label()}: {result}"
@@ -202,7 +201,7 @@ def fit_command(
         timings.append({
             "seed": task.seed.provenance,
             "weights": task.scheme.label(),
-            "wall_time": elapsed,
+            "wall_time": result.wall_time,
             "iterations": result.iterations,
         })
     if not fits:

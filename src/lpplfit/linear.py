@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .model import LpplParams, PriceSeries, evaluate_batch, lppl_kernel
+from .model import LpplParams, PriceSeries, evaluate_batch, lppl_kernel_values
 from .solver import FitResult, LmConfig, exact_fit_floor, lm_fit, project_params
 
 RANK_TOL = 1e-10
@@ -58,8 +58,8 @@ def solve_linear_subsystem(
     """
     series.require_fit_ready()
     fixed.validate(series.n)
-    _, v, cos_t = lppl_kernel(fixed, series.indices)
-    z = v * cos_t
+    kv = lppl_kernel_values(fixed, series.indices)
+    v, z = kv.g, kv.g * kv.cos_t
 
     sw = np.sqrt(series.weights)
     X = np.column_stack([np.ones(series.n), -v, -z]) * sw[:, None]

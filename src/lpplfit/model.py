@@ -1,27 +1,28 @@
 """LPPL model function, analytic Jacobian, and the data-parallel evaluation kernel.
 
 The model is f(x) = A - B (T - x)^m (1 + C cos(omega ln(T - x) + phi)) fitted
-against log prices at integer indices 1..n. `lppl_kernel` is the single
-definition of f and its partials, in two stages: the value stage computes f
-and keeps its intermediates (T - x, ln(T - x), (T - x)^m, theta, cos theta,
-1 + C cos theta), and the partials stage adds sin theta and (T - x)^(m-1)
-and writes the 7 columns. The public evaluators, scalar and vector, the
-batch evaluator and the linear sub-system all go through it.
+against log prices at integer indices 1..n. f and its partials are defined
+once, in two stages: `lppl_kernel_values` computes f and keeps its
+intermediates (T - x, ln(T - x), (T - x)^m, theta, cos theta, 1 + C cos
+theta), and `lppl_kernel_partials` adds sin theta and (T - x)^(m-1) and
+writes the 7 columns. Every evaluator and the linear sub-system call them.
 
 Evaluation dominates fit run time. A solver needs the residuals at every
 trial point but the n x 7 Jacobian only at the points it accepts, so the
 batch evaluator can run the value stage alone and complete the Jacobian
 later from the kept intermediates, without recomputing a log, power or
-cosine. It splits the index range into contiguous chunks processed by a
-thread pool and sums E once over the whole residual vector, so every output
-is bit-identical whatever the thread count.
+cosine. It splits the index range into contiguous chunks, run on one
+reused thread pool per worker count, and sums E once over the whole
+residual vector, so every output is bit-identical whatever the thread count.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -67,7 +68,8 @@ class LpplParams:
 
     def validate(self, n: int) -> None:
         """Check the fit-problem constraints B > 0, 0 < m <= 1, T > n against a series length."""
-        if not np.all(np.isfinite(self.as_array())):
+        fields = (self.A, self.B, self.T, self.m, self.C, self.omega, self.phi)
+        if not all(map(math.isfinite, fields)):
             raise ValueError(f"non-finite parameter in {self}")
         if self.B <= 0:
             raise ValueError(f"B must be positive, got {self.B}")
@@ -165,7 +167,7 @@ class KernelValues(NamedTuple):
 
 
 def lppl_kernel_values(params: LpplParams, x) -> KernelValues:
-    """Value stage of `lppl_kernel`: f at x (a float or an array), with its intermediates."""
+    """Value stage: f at x (a float or an array), with its intermediates; requires T - x > 0."""
     d = params.T - x
     logd = np.log(d)
     g = np.power(d, params.m)
@@ -177,7 +179,19 @@ def lppl_kernel_values(params: LpplParams, x) -> KernelValues:
 
 
 def lppl_kernel_partials(params: LpplParams, v: KernelValues, jac) -> None:
-    """Partials stage of `lppl_kernel`: writes the 7 partials at v's points into jac[..., k]."""
+    """Partials stage: writes the 7 partials at v's points into jac[..., k].
+
+    `jac` has shape x.shape + (7,), columns in PARAM_NAMES order. With
+    g = (T-x)^m and theta = omega ln(T-x) + phi:
+      f = A - B g (1 + C cos theta)
+      df/dA = 1
+      df/dB = -g (1 + C cos theta)
+      df/dT = -B m (T-x)^(m-1) (1 + C cos theta) + B C omega (T-x)^(m-1) sin theta
+      df/dm = -B g ln(T-x) (1 + C cos theta)
+      df/dC = -B g cos theta
+      df/domega = B g C sin theta ln(T-x)
+      df/dphi = B g C sin theta
+    """
     B, C = params.B, params.C
     g, logd, cos_t, osc = v.g, v.logd, v.cos_t, v.osc
     sin_t = np.sin(v.theta)
@@ -191,42 +205,18 @@ def lppl_kernel_partials(params: LpplParams, v: KernelValues, jac) -> None:
     jac[..., 6] = B * g * C * sin_t
 
 
-def lppl_kernel(params: LpplParams, x, jac=None):
-    """The one definition of f and its partials; requires T - x > 0 elementwise.
-
-    With g = (T-x)^m and theta = omega ln(T-x) + phi:
-      f = A - B g (1 + C cos theta)
-      df/dA = 1
-      df/dB = -g (1 + C cos theta)
-      df/dT = -B m (T-x)^(m-1) (1 + C cos theta) + B C omega (T-x)^(m-1) sin theta
-      df/dm = -B g ln(T-x) (1 + C cos theta)
-      df/dC = -B g cos theta
-      df/domega = B g C sin theta ln(T-x)
-      df/dphi = B g C sin theta
-
-    `x` is a float or an array. Returns (f, g, cos theta); g and g cos theta
-    are the basis of the linear (A, B, C) sub-system. When `jac` is given
-    (shape x.shape + (7,), columns in PARAM_NAMES order), the partials are
-    written into it in place.
-    """
-    v = lppl_kernel_values(params, x)
-    if jac is not None:
-        lppl_kernel_partials(params, v, jac)
-    return v.f, v.g, v.cos_t
-
-
 def lppl_values(params: LpplParams, x: np.ndarray) -> np.ndarray:
     """Vectorized f(x); requires T - x > 0 elementwise."""
     x = np.asarray(x, dtype=float)
     _check_domain(params, x)
-    return lppl_kernel(params, x)[0]
+    return lppl_kernel_values(params, x).f
 
 
 def lppl_value(params: LpplParams, x: float) -> float:
     """f(x) at a single point; bit-identical to the matching element of `lppl_values`."""
     x = float(x)
     _check_domain(params, x)
-    return float(lppl_kernel(params, x)[0])
+    return float(lppl_kernel_values(params, x).f)
 
 
 def lppl_jacobian(params: LpplParams, x: np.ndarray) -> np.ndarray:
@@ -234,7 +224,7 @@ def lppl_jacobian(params: LpplParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     _check_domain(params, x)
     J = np.empty((x.shape[0], 7))
-    lppl_kernel(params, x, J)
+    lppl_kernel_partials(params, lppl_kernel_values(params, x), J)
     return J
 
 
@@ -243,33 +233,40 @@ def lppl_jacobian_row(params: LpplParams, x: float) -> np.ndarray:
     x = float(x)
     _check_domain(params, x)
     row = np.empty(7)
-    lppl_kernel(params, x, row)
+    lppl_kernel_partials(params, lppl_kernel_values(params, x), row)
     return row
 
 
+@cache
 def chunk_bounds(n: int, threads: int):
     """Contiguous static partition of range [0, n) into min(threads, n) chunks.
 
     The partition depends only on (n, threads); each point belongs to exactly
-    one chunk, so per-point results are thread-layout independent.
+    one chunk, so per-point results are thread-layout independent. Returns a
+    tuple of (lo, hi) pairs, cached per (n, threads).
     """
     k = max(1, min(int(threads), n))
     base, extra = divmod(n, k)
-    bounds = []
-    lo = 0
-    for c in range(k):
-        hi = lo + base + (1 if c < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
+    edges = [c * base + min(c, extra) for c in range(k + 1)]  # the first `extra` get one more
+    return tuple(zip(edges, edges[1:]))
 
 
-def _map_chunks(fn, bounds):
-    """fn(lo, hi) for each chunk, in a thread pool when there is more than one; chunk order."""
-    if len(bounds) == 1:
-        return [fn(*bounds[0])]
-    with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-        return list(pool.map(lambda lo_hi: fn(*lo_hi), bounds))
+@cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The evaluation pool for `workers` chunks, created on first use and then reused."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+# A forked child has none of the parent's pool threads to run its chunks.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _map(fn, items):
+    """[fn(item) for item in items] in item order; more than one item runs on the reused pool."""
+    if len(items) == 1:
+        return [fn(items[0])]
+    return list(_pool(len(items)).map(fn, items))
 
 
 def evaluate_batch(
@@ -289,22 +286,18 @@ def evaluate_batch(
     if threads < 1:
         raise ValueError("threads must be >= 1")
     params.validate(series.n)
-    n = series.n
-    x = series.indices
-    y = series.log_prices
-    w = series.weights
-
+    n, x, y = series.n, series.indices, series.log_prices
+    chunks = chunk_bounds(n, threads)
     residuals = np.empty(n)
-    kept = {}  # chunk start -> value-stage intermediates
-    bounds = chunk_bounds(n, threads)
 
-    def run_chunk(lo, hi):
+    def value_stage(chunk):
+        lo, hi = chunk
         v = lppl_kernel_values(params, x[lo:hi])
-        kept[lo] = v
         residuals[lo:hi] = v.f - y[lo:hi]
+        return v
 
-    _map_chunks(run_chunk, bounds)
-    error = float(np.sum(w * residuals * residuals))
+    kept = _map(value_stage, chunks)  # value-stage intermediates, one per chunk
+    error = float(np.sum(series.weights * residuals * residuals))
     d = series.degrees_of_freedom
     report = ResidualReport(
         residuals=residuals,
@@ -314,7 +307,8 @@ def evaluate_batch(
 
     def complete_jacobian() -> np.ndarray:
         J = np.empty((n, 7))
-        _map_chunks(lambda lo, hi: lppl_kernel_partials(params, kept[lo], J[lo:hi]), bounds)
+        _map(lambda i: lppl_kernel_partials(params, kept[i], J[slice(*chunks[i])]),
+             range(len(chunks)))
         return J
 
     return report, (complete_jacobian() if jacobian else complete_jacobian)

@@ -1,6 +1,10 @@
+import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from lpplfit import model
 from lpplfit.model import (
     LpplDomainError,
     LpplParams,
@@ -183,6 +187,48 @@ class TestEvaluateBatch:
             evaluate_batch(p, series)
 
 
+class TestEvaluationPool:
+    def test_one_pool_for_all_calls(self, monkeypatch):
+        constructed = []
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                constructed.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(model, "ThreadPoolExecutor", CountingExecutor)
+        model._pool.cache_clear()
+        try:
+            series = make_series(1000)
+            p = PRESETS["base"].params
+            for jacobian in (True, False):
+                for _ in range(10):
+                    evaluate_batch(p, series, threads=2, jacobian=jacobian)
+        finally:
+            model._pool.cache_clear()  # no later test gets the counting pool
+        assert constructed == [2]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_child_evaluates_in_parallel(self):
+        # the parent's pool threads do not exist in a forked child; a pool
+        # reused from the parent would leave the child waiting forever
+        series = make_series(1000)
+        p = PRESETS["base"].params
+        evaluate_batch(p, series, threads=2)
+        child = multiprocessing.get_context("fork").Process(
+            target=evaluate_batch, args=(p, series, 2))
+        child.start()
+        child.join(timeout=30)
+        try:
+            assert not child.is_alive()
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+
+
 class TestChunkBounds:
     def test_partition_covers_range(self):
         for n in (1, 7, 100, 1001):
@@ -215,6 +261,9 @@ class TestLpplParams:
             p.replace(B=0.0).validate(1000)
         with pytest.raises(ValueError):
             p.replace(m=1.5).validate(1000)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                p.replace(omega=bad).validate(1000)
         with pytest.raises(LpplDomainError):
             p.validate(1100)
 
