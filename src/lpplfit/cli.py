@@ -27,7 +27,7 @@ from .driver import (
 )
 from .ingest import IngestError, load_csv, to_series
 from .linear import InterleaveConfig
-from .model import PARAM_NAMES, LpplParams
+from .model import BLOCK, PARAM_NAMES, LpplParams
 from .solver import FitResult, LmConfig
 from .synth import PRESETS, SynthSpec, write_trace
 from .weights import parse_scheme
@@ -117,7 +117,8 @@ def _add_parallel_flags(p):
                    help="concurrent fit tasks (0 or less: one per CPU); threads that "
                         "contend for the GIL, so more than 1 is usually slower")
     p.add_argument("--threads", type=int, default=1,
-                   help="evaluation workers per fit (0 or less: 1)")
+                   help=f"evaluation workers per fit, over blocks of {BLOCK:,} points; a "
+                        f"series of at most {BLOCK:,} points runs serially (0 or less: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -185,7 +185,7 @@ def fit_command(
         raw = [run(t) for t in tasks]
     else:
         # Not the model's evaluation pool: a task running on one of its
-        # workers would wait on chunk work queued behind itself.
+        # workers would wait on block work queued behind itself.
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(run, tasks))
 

@@ -11,9 +11,10 @@ Evaluation dominates fit run time. A solver needs the residuals at every
 trial point but the n x 7 Jacobian only at the points it accepts, so the
 batch evaluator can run the value stage alone and complete the Jacobian
 later from the kept intermediates, without recomputing a log, power or
-cosine. It splits the index range into contiguous chunks, run on one
-reused thread pool per worker count, and sums E once over the whole
-residual vector, so every output is bit-identical whatever the thread count.
+cosine. It cuts the index range into blocks of BLOCK points, a partition
+that depends on n alone; the thread count only sets how many workers map
+over the blocks. E is summed once over the whole residual vector, so every
+output is bit-identical whatever the thread count.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ import numpy as np
 # Smaller gaps blow up (T - x)^(m-1) and ln(T - x); treated as domain errors
 # rather than clamped silently.
 T_GAP = 1e-6
+
+# Points per evaluation block: long series run in cache-sized pieces, and
+# n = 1e4 is still one block, which runs inline.
+BLOCK = 16_384
 
 # Parameter order used for all 7-vectors and Jacobian columns.
 PARAM_NAMES = ("A", "B", "T", "m", "C", "omega", "phi")
@@ -238,35 +243,28 @@ def lppl_jacobian_row(params: LpplParams, x: float) -> np.ndarray:
 
 
 @cache
-def chunk_bounds(n: int, threads: int):
-    """Contiguous static partition of range [0, n) into min(threads, n) chunks.
-
-    The partition depends only on (n, threads); each point belongs to exactly
-    one chunk, so per-point results are thread-layout independent. Returns a
-    tuple of (lo, hi) pairs, cached per (n, threads).
-    """
-    k = max(1, min(int(threads), n))
-    base, extra = divmod(n, k)
-    edges = [c * base + min(c, extra) for c in range(k + 1)]  # the first `extra` get one more
-    return tuple(zip(edges, edges[1:]))
+def block_bounds(n: int):
+    """[0, n) cut into (lo, hi) blocks of BLOCK points, the last one shorter; cached per n."""
+    return tuple((lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK))
 
 
 @cache
 def _pool(workers: int) -> ThreadPoolExecutor:
-    """The evaluation pool for `workers` chunks, created on first use and then reused."""
+    """The evaluation pool with `workers` threads, created on first use and then reused."""
     return ThreadPoolExecutor(max_workers=workers)
 
 
-# A forked child has none of the parent's pool threads to run its chunks.
+# A forked child has none of the parent's pool threads to run its blocks.
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _map(fn, items):
-    """[fn(item) for item in items] in item order; more than one item runs on the reused pool."""
-    if len(items) == 1:
-        return [fn(items[0])]
-    return list(_pool(len(items)).map(fn, items))
+def _map(fn, items, threads):
+    """list(map(fn, items)), spread over at most `threads` pool workers and one per item."""
+    workers = min(threads, len(items))
+    if workers <= 1:
+        return list(map(fn, items))
+    return list(_pool(workers).map(fn, items))
 
 
 def evaluate_batch(
@@ -274,12 +272,13 @@ def evaluate_batch(
 ):
     """Residuals r_i = f(i) - ln p(i), weighted error E, and the full n x 7 Jacobian.
 
-    Work is split over `threads` contiguous chunks. E is summed once over the
-    whole residual vector after the chunks finish, so the residuals, E and J
+    The points are cut into `block_bounds(n)`, which `threads` workers map
+    over; n <= BLOCK is one block and runs inline. E is summed once over the
+    whole residual vector after the blocks finish, so the residuals, E and J
     are bit-identical across thread counts.
 
-    Returns (report, J). Each chunk runs the kernel's value stage and keeps
-    its intermediates; a second pass over the same chunks completes J from
+    Returns (report, J). Each block runs the kernel's value stage and keeps
+    its intermediates; a second pass over the same blocks completes J from
     them. With `jacobian=False` that pass is left to the caller: the second
     element is instead the function that runs it and returns J.
     """
@@ -287,16 +286,16 @@ def evaluate_batch(
         raise ValueError("threads must be >= 1")
     params.validate(series.n)
     n, x, y = series.n, series.indices, series.log_prices
-    chunks = chunk_bounds(n, threads)
+    blocks = block_bounds(n)
     residuals = np.empty(n)
 
-    def value_stage(chunk):
-        lo, hi = chunk
+    def value_stage(block):
+        lo, hi = block
         v = lppl_kernel_values(params, x[lo:hi])
         residuals[lo:hi] = v.f - y[lo:hi]
         return v
 
-    kept = _map(value_stage, chunks)  # value-stage intermediates, one per chunk
+    kept = _map(value_stage, blocks, threads)  # value-stage intermediates, one per block
     error = float(np.sum(series.weights * residuals * residuals))
     d = series.degrees_of_freedom
     report = ResidualReport(
@@ -307,8 +306,8 @@ def evaluate_batch(
 
     def complete_jacobian() -> np.ndarray:
         J = np.empty((n, 7))
-        _map(lambda i: lppl_kernel_partials(params, kept[i], J[slice(*chunks[i])]),
-             range(len(chunks)))
+        _map(lambda i: lppl_kernel_partials(params, kept[i], J[slice(*blocks[i])]),
+             range(len(blocks)), threads)
         return J
 
     return report, (complete_jacobian() if jacobian else complete_jacobian)

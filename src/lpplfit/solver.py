@@ -52,8 +52,12 @@ class LmConfig:
             raise ValueError("mu_init and mu_bar must be positive")
         if self.mu_bar > self.mu_bar_cap:
             raise ValueError("mu_bar must not exceed mu_bar_cap")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        for name in ("max_iterations", "max_restarts", "error_tol_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("gradient_tol", "step_tol", "error_tol"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ def lm_fit(
     (including evaluation domain errors) only raise mu. The run ends as
     converged once E is at the rounding floor (`exact_fit_floor`), checked
     before each step, so a start that is already exact takes 0 iterations.
-    Identical inputs give identical results for a fixed thread count.
+    Identical inputs give identical results, whatever the thread count.
 
     A trial point is evaluated for its residuals and E only. The Jacobian and
     the normal equations are formed once per accepted iterate (and once at

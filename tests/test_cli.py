@@ -208,6 +208,20 @@ def test_malformed_json_is_input_error(tmp_path, capsys, command, text):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    {"error_tol_window": -5}, {"error_tol_window": 0}, {"max_restarts": 0},
+    {"gradient_tol": -1.0}, {"step_tol": -1e-12}, {"error_tol": -1e-15},
+], ids=lambda config: "{}={}".format(*next(iter(config.items()))))
+def test_out_of_range_config_is_input_error(tmp_path, capsys, config):
+    # a negative error_tol_window once indexed past the error history in every
+    # task (exit 3), and 0 or a negative tolerance changed the stops silently
+    cfg = tmp_path / "solver.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["fit", str(run_synth(tmp_path)), "--column", "price",
+                 "--config", str(cfg)]) == EXIT_INPUT
+    assert next(iter(config)) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["fit", "classify"])
 @pytest.mark.parametrize("flag", ["--m-hi", "--omega-lo", "--c-lo", "--min-reduction"])
 def test_nan_threshold_flag_is_input_error(tmp_path, capsys, command, flag):

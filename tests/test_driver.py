@@ -134,8 +134,9 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("index", [0, 5], ids=["base#0", "oscillatory#0"])
     def test_threads_do_not_change_report(self, index):
-        # E is summed once over the whole residual vector, so the chunking
-        # that --threads sets cannot move a bit of any fit
+        # the evaluation blocks depend on n alone and E is summed once over
+        # the whole residual vector, so --threads cannot move a bit of any
+        # fit (test_model checks the same across block edges)
         _, _, spec = standard_suite(20260823)[index]
         lp = generate_log_prices(spec)
         one, three = (report_to_json(fit_command(lp, [WeightScheme.uniform()],

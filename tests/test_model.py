@@ -6,17 +6,29 @@ import pytest
 
 from lpplfit import model
 from lpplfit.model import (
+    BLOCK,
     LpplDomainError,
     LpplParams,
     PriceSeries,
-    chunk_bounds,
+    block_bounds,
     evaluate_batch,
     lppl_jacobian,
     lppl_jacobian_row,
     lppl_value,
     lppl_values,
 )
+from lpplfit.solver import LmConfig, lm_fit
 from lpplfit.synth import PRESETS, SynthSpec, generate_trace
+
+# Lengths that end inside, on and just past a block edge, and span three blocks.
+EDGE_LENGTHS = (997, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
+
+
+def noisy_trace(n):
+    """A base-preset trace of n points with T = 1.1 n, and its generating spec."""
+    base = PRESETS["base"]
+    spec = SynthSpec(params=base.params.replace(T=1.1 * n), sigma=base.sigma, n=n, seed=5)
+    return spec, generate_trace(spec)
 
 
 def make_series(n=100, params=None, weights=None):
@@ -125,25 +137,36 @@ class TestJacobian:
 
 class TestEvaluateBatch:
     def test_thread_count_invariance(self):
-        series = make_series(997)
-        p = PRESETS["base"].params
-        rep1, J1 = evaluate_batch(p, series, threads=1)
-        rep8, J8 = evaluate_batch(p, series, threads=8)
-        np.testing.assert_array_equal(rep1.residuals, rep8.residuals)
-        np.testing.assert_array_equal(J1, J8)
-        assert rep1.error == rep8.error
-        # the batch evaluator and the public model functions share one kernel
-        x = series.indices
-        for rep, J in ((rep1, J1), (rep8, J8)):
-            assert np.array_equal(J, lppl_jacobian(p, x))
-            assert np.array_equal(rep.residuals, lppl_values(p, x) - series.log_prices)
-        # residual-only evaluation gives the same residuals and E, and the
-        # Jacobian it completes later is the full one, at every thread count
-        for threads, rep in ((1, rep1), (8, rep8)):
-            lean, complete_jacobian = evaluate_batch(p, series, threads=threads, jacobian=False)
-            assert np.array_equal(lean.residuals, rep.residuals)
-            assert lean.error == rep.error
-            assert np.array_equal(complete_jacobian(), lppl_jacobian(p, x))
+        # the blocks depend on n alone and E is summed over the whole vector,
+        # so no thread count can move a bit, on either side of a block edge
+        for n in EDGE_LENGTHS:
+            spec, series = noisy_trace(n)
+            p, x = spec.params, series.indices
+            rep1, J1 = evaluate_batch(p, series, threads=1)
+            # the batch evaluator and the public model functions share one kernel
+            assert np.array_equal(J1, lppl_jacobian(p, x))
+            assert np.array_equal(rep1.residuals, lppl_values(p, x) - series.log_prices)
+            for threads in (1, 2, 3, 8):
+                rep, J = evaluate_batch(p, series, threads=threads)
+                assert np.array_equal(rep.residuals, rep1.residuals)
+                assert rep.error == rep1.error
+                assert np.array_equal(J, J1)
+                # residual-only evaluation gives the same residuals and E, and
+                # the Jacobian it completes later is the full one
+                lean, complete_jacobian = evaluate_batch(p, series, threads=threads,
+                                                         jacobian=False)
+                assert np.array_equal(lean.residuals, rep1.residuals)
+                assert lean.error == rep1.error
+                assert np.array_equal(complete_jacobian(), J1)
+        # and so a fit over three blocks takes the very same steps
+        spec, series = noisy_trace(2 * BLOCK + 3)
+        start = spec.params.replace(A=spec.params.A * 1.01, m=0.6)
+        serial, pooled = (lm_fit(series, start, LmConfig(max_iterations=5), threads)
+                          for threads in (1, 3))
+        assert len(serial.error_history) > 1
+        assert serial.params == pooled.params
+        assert serial.error == pooled.error
+        assert serial.error_history == pooled.error_history
 
     def test_all_zero_weights_zero_error(self):
         n = 50
@@ -187,37 +210,51 @@ class TestEvaluateBatch:
             evaluate_batch(p, series)
 
 
+@pytest.fixture
+def counted_pools(monkeypatch):
+    """The max_workers of every evaluation pool built while the test runs."""
+    constructed = []
+
+    class CountingExecutor(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            constructed.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(model, "ThreadPoolExecutor", CountingExecutor)
+    model._pool.cache_clear()
+    yield constructed
+    model._pool.cache_clear()  # no later test gets the counting pool
+
+
 class TestEvaluationPool:
-    def test_one_pool_for_all_calls(self, monkeypatch):
-        constructed = []
+    def test_one_pool_for_all_calls(self, counted_pools):
+        spec, series = noisy_trace(2 * BLOCK + 3)
+        for jacobian in (True, False):
+            for _ in range(10):
+                evaluate_batch(spec.params, series, threads=2, jacobian=jacobian)
+        assert counted_pools == [2]
 
-        class CountingExecutor(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                constructed.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
+    def test_short_series_builds_no_pool(self, counted_pools):
+        # one block runs inline whatever the thread count
+        spec, series = noisy_trace(1000)
+        for jacobian in (True, False):
+            evaluate_batch(spec.params, series, threads=2, jacobian=jacobian)
+        assert counted_pools == []
 
-        monkeypatch.setattr(model, "ThreadPoolExecutor", CountingExecutor)
-        model._pool.cache_clear()
-        try:
-            series = make_series(1000)
-            p = PRESETS["base"].params
-            for jacobian in (True, False):
-                for _ in range(10):
-                    evaluate_batch(p, series, threads=2, jacobian=jacobian)
-        finally:
-            model._pool.cache_clear()  # no later test gets the counting pool
-        assert constructed == [2]
+    def test_pool_never_outnumbers_blocks(self, counted_pools):
+        spec, series = noisy_trace(2 * BLOCK + 3)
+        evaluate_batch(spec.params, series, threads=64)
+        assert counted_pools == [3]
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs the fork start method")
     def test_forked_child_evaluates_in_parallel(self):
         # the parent's pool threads do not exist in a forked child; a pool
         # reused from the parent would leave the child waiting forever
-        series = make_series(1000)
-        p = PRESETS["base"].params
-        evaluate_batch(p, series, threads=2)
+        spec, series = noisy_trace(2 * BLOCK + 3)
+        evaluate_batch(spec.params, series, threads=2)
         child = multiprocessing.get_context("fork").Process(
-            target=evaluate_batch, args=(p, series, 2))
+            target=evaluate_batch, args=(spec.params, series, 2))
         child.start()
         child.join(timeout=30)
         try:
@@ -229,17 +266,25 @@ class TestEvaluationPool:
                 child.join()
 
 
-class TestChunkBounds:
-    def test_partition_covers_range(self):
-        for n in (1, 7, 100, 1001):
-            for threads in (1, 2, 3, 8, 200):
-                bounds = chunk_bounds(n, threads)
-                assert bounds[0][0] == 0 and bounds[-1][1] == n
-                for (a, b), (c, d) in zip(bounds, bounds[1:]):
-                    assert b == c and a < b
+class TestBlockBounds:
+    LENGTHS = (1, 7, 1000, BLOCK - 1, *EDGE_LENGTHS, 10 * BLOCK)
 
-    def test_more_threads_than_points(self):
-        assert len(chunk_bounds(3, 16)) == 3
+    def test_partition_covers_range(self):
+        for n in self.LENGTHS:
+            bounds = block_bounds(n)
+            assert bounds[0][0] == 0 and bounds[-1][1] == n
+            for (a, b), (c, d) in zip(bounds, bounds[1:]):
+                assert b == c and a < b
+
+    def test_blocks_are_full_but_the_last(self):
+        for n in self.LENGTHS:
+            sizes = [hi - lo for lo, hi in block_bounds(n)]
+            assert set(sizes[:-1]) <= {BLOCK}
+            assert 0 < sizes[-1] <= BLOCK
+
+    def test_short_series_is_one_block(self):
+        for n in (1, 3, 1000, 10_000, BLOCK):
+            assert block_bounds(n) == ((0, n),)
 
 
 class TestPriceSeries:

@@ -31,8 +31,13 @@ class TestConfigAndPolicy:
             LmConfig(mu_init=0.0)
         with pytest.raises(ValueError):
             LmConfig(mu_bar=1e9, mu_bar_cap=1e8)
-        with pytest.raises(ValueError):
-            LmConfig(max_iterations=0)
+        for bad in ({"max_iterations": 0}, {"max_restarts": 0}, {"error_tol_window": 0},
+                    {"error_tol_window": -5}, {"gradient_tol": -1e-12}, {"step_tol": -1.0},
+                    {"error_tol": float("nan")}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                LmConfig(**bad)
+        LmConfig(gradient_tol=0.0, step_tol=0.0, error_tol=0.0, error_tol_window=1,
+                 max_restarts=1)
 
     def test_restart_policy_doubles_to_cap(self):
         mu_bar, cap = 1e-3, 1e8
