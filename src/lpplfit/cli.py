@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .driver import (
+    DEFAULT_AUTO_TRIPLES,
     REPORT_SCHEMA_VERSION,
     AllFitsFailed,
     ClassifyThresholds,
@@ -28,6 +29,7 @@ from .driver import (
 from .ingest import IngestError, load_csv, to_series
 from .linear import InterleaveConfig
 from .model import BLOCK, PARAM_NAMES, LpplParams
+from .seeds import DEFAULT_EXTREMUM_HALF_WIDTH
 from .solver import FitResult, LmConfig
 from .synth import PRESETS, SynthSpec, write_trace
 from .weights import parse_scheme
@@ -106,10 +108,13 @@ def _lm_config_from(args) -> LmConfig:
 
 
 def _add_threshold_flags(p):
-    p.add_argument("--m-hi", type=_finite_float, default=0.95)
-    p.add_argument("--omega-lo", type=_finite_float, default=1.5)
-    p.add_argument("--c-lo", type=_finite_float, default=0.01)
-    p.add_argument("--min-reduction", type=_finite_float, default=0.10)
+    for f in dataclasses.fields(ClassifyThresholds):  # --m-hi, --omega-lo, ...
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=_finite_float, default=f.default)
+
+
+def _thresholds_from(args) -> ClassifyThresholds:
+    return ClassifyThresholds(**{f.name: getattr(args, f.name)
+                                 for f in dataclasses.fields(ClassifyThresholds)})
 
 
 def _add_parallel_flags(p):
@@ -134,13 +139,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="uniform | step:s,t | quad:W (repeatable)")
     fit.add_argument("--triple", action="append", type=_parse_triple, default=[],
                      metavar="i,j,k[,KIND]", help="manual extremum triple seed (repeatable)")
-    fit.add_argument("--auto-triples", type=int, default=8,
+    fit.add_argument("--auto-triples", type=int, default=DEFAULT_AUTO_TRIPLES,
                      help="max auto-detected triple seeds (0 disables)")
-    fit.add_argument("--extremum-window", type=int, default=10,
+    fit.add_argument("--extremum-window", type=int, default=DEFAULT_EXTREMUM_HALF_WIDTH,
                      help="half-width of the extremum detection window")
     fit.add_argument("--interleave", type=_on_off, default=True, metavar="on|off")
-    fit.add_argument("--L", type=int, default=5, help="LM iteration bound per interleave round")
-    fit.add_argument("--adaptive-L", type=_on_off, default=True, metavar="on|off")
+    fit.add_argument("--L", type=int, default=InterleaveConfig.L,
+                     help="LM iteration bound per interleave round")
+    fit.add_argument("--adaptive-L", type=_on_off, default=InterleaveConfig.adaptive_L,
+                     metavar="on|off")
     fit.add_argument("--max-iter", type=int, default=None, help="LM iteration cap; "
                      "only with --interleave off, which otherwise caps LM runs at L")
     fit.add_argument("--config", default=None,
@@ -202,8 +209,6 @@ def cmd_fit(args) -> int:
     series = to_series(raw)
     config = InterleaveConfig(lm=_lm_config_from(args), L=args.L,
                               adaptive_L=args.adaptive_L)
-    thresholds = ClassifyThresholds(m_hi=args.m_hi, omega_lo=args.omega_lo,
-                                    c_lo=args.c_lo, min_reduction=args.min_reduction)
     jobs = args.jobs if args.jobs >= 1 else max(1, os.cpu_count() or 1)
     report = fit_command(
         series.log_prices,
@@ -215,7 +220,7 @@ def cmd_fit(args) -> int:
         config=config,
         jobs=jobs,
         threads=max(1, args.threads),
-        thresholds=thresholds,
+        thresholds=_thresholds_from(args),
         collect_timings=args.timings,
     )
     if args.format == "json":
@@ -272,9 +277,7 @@ def cmd_classify(args) -> int:
         baseline_average_error = float(report["baseline_average_error"])
     except (KeyError, TypeError, ValueError) as exc:
         raise IngestError(f"{args.report}: malformed fit report ({exc!r})") from exc
-    thresholds = ClassifyThresholds(m_hi=args.m_hi, omega_lo=args.omega_lo,
-                                    c_lo=args.c_lo, min_reduction=args.min_reduction)
-    verdict = classify(fit_result, baseline_average_error, thresholds)
+    verdict = classify(fit_result, baseline_average_error, _thresholds_from(args))
     sys.stdout.write(json.dumps(
         {"label": verdict.label, "reasons": list(verdict.reasons)}, indent=2) + "\n")
     return EXIT_OK

@@ -19,12 +19,14 @@ import numpy as np
 
 from .linear import InterleaveConfig, interleave_fit
 from .model import LpplParams, PriceSeries, evaluate_batch, lppl_values
-from .seeds import InitSeed, SeedRejected, exponential_prefit, propose_triples, triple_to_seed
+from .seeds import (DEFAULT_EXTREMUM_HALF_WIDTH, InitSeed, SeedRejected, exponential_prefit,
+                    propose_triples, triple_to_seed)
 from .solver import FitResult, lm_fit
 from .synth import PRESETS, SynthSpec, generate_trace
 from .weights import WeightScheme, build_weights
 
 REPORT_SCHEMA_VERSION = 1
+DEFAULT_AUTO_TRIPLES = 8
 
 
 @dataclass(frozen=True)
@@ -111,15 +113,12 @@ class AllFitsFailed(RuntimeError):
 
 
 def build_seed_set(
-    log_prices: np.ndarray,
-    scheme: WeightScheme,
+    series: PriceSeries,
     manual_triples: Sequence[Tuple[int, int, int, str]] = (),
     auto_triples: int = 0,
-    extremum_half_width: int = 10,
+    extremum_half_width: int = DEFAULT_EXTREMUM_HALF_WIDTH,
 ) -> List[InitSeed]:
     """Exponential seed (always) plus manual and auto-detected triple seeds."""
-    n = log_prices.shape[0]
-    series = PriceSeries(log_prices=log_prices, weights=build_weights(scheme, n))
     seeds = [exponential_prefit(series)]
     triples = list(manual_triples)
     if auto_triples > 0:
@@ -147,8 +146,8 @@ def fit_command(
     log_prices: np.ndarray,
     schemes: Sequence[WeightScheme],
     manual_triples: Sequence[Tuple[int, int, int, str]] = (),
-    auto_triples: int = 8,
-    extremum_half_width: int = 10,
+    auto_triples: int = DEFAULT_AUTO_TRIPLES,
+    extremum_half_width: int = DEFAULT_EXTREMUM_HALF_WIDTH,
     interleave: bool = True,
     config: InterleaveConfig = InterleaveConfig(),
     jobs: int = 1,
@@ -158,21 +157,25 @@ def fit_command(
 ) -> RunReport:
     """Fit every (seed x scheme) combination and rank by average error.
 
-    Each task is deterministic, so running them across `jobs` workers cannot
-    change any individual result, only wall time. Rank ties break by task
-    order so reports are stable.
+    Each scheme's series is built and checked for fit readiness before any
+    seed is built, so a scheme that cannot be fitted is a ValueError for the
+    whole run. Each task is deterministic, so running them across `jobs`
+    workers cannot change any individual result, only wall time. Rank ties
+    break by task order so reports are stable.
     """
     n = log_prices.shape[0]
-    tasks: List[FitTask] = []
-    for scheme in schemes:
-        for seed in build_seed_set(log_prices, scheme, manual_triples,
-                                   auto_triples, extremum_half_width):
-            tasks.append(FitTask(seed=seed, scheme=scheme))
+    series_of = {scheme: PriceSeries(log_prices=log_prices, weights=build_weights(scheme, n))
+                 for scheme in schemes}
+    for series in series_of.values():
+        series.require_fit_ready()
+    tasks = [FitTask(seed=seed, scheme=scheme) for scheme in schemes
+             for seed in build_seed_set(series_of[scheme], manual_triples,
+                                        auto_triples, extremum_half_width)]
     if not tasks:
         raise AllFitsFailed(["no seed could be constructed"])
 
     def run(task: FitTask):
-        series = PriceSeries(log_prices=log_prices, weights=build_weights(task.scheme, n))
+        series = series_of[task.scheme]
         try:
             if interleave:
                 return interleave_fit(series, task.seed.params, config, threads)
@@ -213,8 +216,7 @@ def fit_command(
 
     # Self-consistency: the reported error must be reproducible from the
     # reported parameters against the reported data and weights.
-    series = PriceSeries(log_prices=log_prices,
-                         weights=build_weights(best.task.scheme, n))
+    series = series_of[best.task.scheme]
     recheck, _ = evaluate_batch(best.result.params, series, threads, jacobian=False)
     if not np.isclose(recheck.error, best.result.error, rtol=1e-9, atol=1e-12):
         raise RuntimeError(

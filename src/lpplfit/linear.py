@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .model import LpplParams, PriceSeries, evaluate_batch, lppl_kernel_values
+from .model import B_MIN, LpplParams, PriceSeries, evaluate_batch, lppl_kernel_values
 from .solver import FitResult, LmConfig, exact_fit_floor, lm_fit, project_params
 
 RANK_TOL = 1e-10
@@ -34,7 +34,7 @@ MAX_L = 4096  # ceiling of the adaptive LM iteration cap
 class LinearSolveResult:
     """Outcome of one fixed-(T, m, omega, phi) linear solve."""
 
-    status: str  # ok | rank-deficient | nonpositive-beta
+    status: str  # ok | rank-deficient | nonpositive-beta (beta < B_MIN)
     A: float = np.nan
     beta: float = np.nan
     gamma: float = np.nan
@@ -53,8 +53,8 @@ def solve_linear_subsystem(
     Solved by rank-revealing QR on the sqrt(w)-scaled design matrix rather
     than normal equations; the basis is nearly collinear when oscillations
     are small and squaring the condition number would hurt. A rank-deficient
-    system or beta <= 0 (which would break B > 0) is a rejection; the caller
-    keeps its incumbent.
+    system is a rejection, and so is beta < B_MIN, below the feasibility box
+    (status "nonpositive-beta"); the caller keeps its incumbent.
     """
     series.require_fit_ready()
     fixed.validate(series.n)
@@ -71,7 +71,7 @@ def solve_linear_subsystem(
     if rank < 3:
         return LinearSolveResult(status="rank-deficient")
     A, beta, gamma = (float(c) for c in coef)
-    if beta <= 0:
+    if beta < B_MIN:
         return LinearSolveResult(status="nonpositive-beta", A=A, beta=beta, gamma=gamma)
 
     C = gamma / beta
@@ -205,9 +205,7 @@ def interleave_fit(
             mu = config.lm.mu_init  # new basin; damping history no longer applies
 
         if not lin_improved and lm_stalled:
-            return finish(
-                lm_res.termination if lm_res.termination != "iteration-cap" else "converged"
-            )
+            return finish(lm_res.termination)
 
         # Round-level analogue of the solver's relative-error stopping rule:
         # a round that improves E, but by less than the tolerance, is treated

@@ -7,6 +7,10 @@ intermediates (T - x, ln(T - x), (T - x)^m, theta, cos theta, 1 + C cos
 theta), and `lppl_kernel_partials` adds sin theta and (T - x)^(m-1) and
 writes the 7 columns. Every evaluator and the linear sub-system call them.
 
+The fit constraints B > 0, 0 < m <= 1, T > n are one closed box, defined
+here alone: `box(n)` gives its bounds, and `LpplParams.validate` accepts
+exactly the points that clipping to `box(n)` leaves unchanged.
+
 Evaluation dominates fit run time. A solver needs the residuals at every
 trial point but the n x 7 Jacobian only at the points it accepts, so the
 batch evaluator can run the value stage alone and complete the Jacobian
@@ -28,10 +32,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Minimum allowed gap between the critical time and the last sample index.
-# Smaller gaps blow up (T - x)^(m-1) and ln(T - x); treated as domain errors
-# rather than clamped silently.
+# Bounds of the feasibility box (`box`). T_GAP is the minimum gap between the
+# critical time and the last sample index: smaller gaps blow up (T - x)^(m-1)
+# and ln(T - x), so `validate` reports them as domain errors.
 T_GAP = 1e-6
+B_MIN = 1e-12
+M_MIN = 1e-6
+M_MAX = 1.0
 
 # Points per evaluation block: long series run in cache-sized pieces, and
 # n = 1e4 is still one block, which runs inline.
@@ -72,14 +79,14 @@ class LpplParams:
         return cls(*v.tolist())
 
     def validate(self, n: int) -> None:
-        """Check the fit-problem constraints B > 0, 0 < m <= 1, T > n against a series length."""
+        """Check that the point is finite and inside `box(n)` for a series of length n."""
         fields = (self.A, self.B, self.T, self.m, self.C, self.omega, self.phi)
         if not all(map(math.isfinite, fields)):
             raise ValueError(f"non-finite parameter in {self}")
-        if self.B <= 0:
-            raise ValueError(f"B must be positive, got {self.B}")
-        if not (0 < self.m <= 1):
-            raise ValueError(f"m must be in (0, 1], got {self.m}")
+        if self.B < B_MIN:
+            raise ValueError(f"B must be at least {B_MIN}, got {self.B}")
+        if not (M_MIN <= self.m <= M_MAX):
+            raise ValueError(f"m must be in [{M_MIN}, {M_MAX}], got {self.m}")
         if self.T - n < T_GAP:
             raise LpplDomainError(
                 f"critical time T={self.T} must exceed series length n={n} by at least {T_GAP}",
@@ -91,6 +98,16 @@ class LpplParams:
 
     def replace(self, **kw) -> "LpplParams":
         return LpplParams(**{**self.to_dict(), **kw})
+
+
+def box(n: int):
+    """The feasible box as 7-vectors (lo, hi) in PARAM_NAMES order; A, C, omega, phi are free."""
+    t_min = n + T_GAP
+    while t_min - n < T_GAP:  # rounding in n + gap can land just under the gap
+        t_min = np.nextafter(t_min, np.inf)
+    lo = np.array([-np.inf, B_MIN, t_min, M_MIN, -np.inf, -np.inf, -np.inf])
+    hi = np.array([np.inf, np.inf, np.inf, M_MAX, np.inf, np.inf, np.inf])
+    return lo, hi
 
 
 @dataclass(frozen=True)

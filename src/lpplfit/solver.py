@@ -1,12 +1,12 @@
 """Levenberg-Marquardt for the 7-parameter LPPL fit.
 
 Damping uses Marquardt scaling (mu * diag(J'WJ)), since A and omega live on
-wildly different magnitudes. The iterate is a 7-vector in PARAM_NAMES order,
-and the constraints B > 0, 0 < m <= 1, T > n are one box (`_box`): the start
-and every trial point are clipped to it, so the model is only ever evaluated
-inside it. When a step solve breaks down (singular system, non-finite step)
-or mu underflows to 0, the run restarts from the current iterate with mu set
-to a seed value mu_bar that is doubled on every restart up to a global cap.
+wildly different magnitudes. The iterate is a 7-vector in PARAM_NAMES order.
+The start and every trial point are clipped to the feasibility box that
+`model.box` defines, so every point evaluated passes `LpplParams.validate`.
+When a step solve breaks down (singular system, non-finite step) or mu
+underflows to 0, the run restarts from the current iterate with mu set to a
+seed value mu_bar that is doubled on every restart up to a global cap.
 
 A fit whose weighted error is at the rounding floor of the data (see
 `exact_fit_floor`) is exact: E >= 0, so it is a global minimum and the run
@@ -21,12 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import T_GAP, LpplParams, LpplDomainError, PriceSeries, evaluate_batch
-
-# Bounds of the feasibility box (`_box`).
-B_MIN = 1e-12
-M_MIN = 1e-6
-M_MAX = 1.0
+from .model import LpplParams, PriceSeries, box, evaluate_batch
 
 # mu step factors within a run: shrink on accept, grow on reject.
 MU_SHRINK = 1.0 / 3.0
@@ -78,19 +73,9 @@ class FitResult:
     mu_bar_final: float = field(default=0.0, compare=False)
 
 
-def _box(n: int):
-    """The feasible box as 7-vectors (lo, hi) in PARAM_NAMES order; A, C, omega, phi are free."""
-    t_min = n + T_GAP
-    while t_min - n < T_GAP:  # rounding in n + gap can land just under the gap
-        t_min = np.nextafter(t_min, np.inf)
-    lo = np.array([-np.inf, B_MIN, t_min, M_MIN, -np.inf, -np.inf, -np.inf])
-    hi = np.array([np.inf, np.inf, np.inf, M_MAX, np.inf, np.inf, np.inf])
-    return lo, hi
-
-
 def project_params(params: LpplParams, n: int) -> LpplParams:
-    """Project onto the box {B >= 1e-12, 1e-6 <= m <= 1, T >= n + gap}."""
-    return LpplParams(*np.clip(params.as_array(), *_box(n)).tolist())
+    """Clip onto the feasibility box `model.box(n)`."""
+    return LpplParams(*np.clip(params.as_array(), *box(n)).tolist())
 
 
 def exact_fit_floor(series: PriceSeries) -> float:
@@ -156,9 +141,9 @@ def lm_fit(
     """Run damped Gauss-Newton iterations from `start` until a stopping rule fires.
 
     Every accepted step strictly decreases the weighted error E; rejected steps
-    (including evaluation domain errors) only raise mu. The run ends as
-    converged once E is at the rounding floor (`exact_fit_floor`), checked
-    before each step, so a start that is already exact takes 0 iterations.
+    only raise mu. The run ends as converged once E is at the rounding floor
+    (`exact_fit_floor`), checked before each step, so a start that is already
+    exact takes 0 iterations.
     Identical inputs give identical results, whatever the thread count.
 
     A trial point is evaluated for its residuals and E only. The Jacobian and
@@ -171,7 +156,7 @@ def lm_fit(
     w = series.weights
     d = series.degrees_of_freedom
     floor = exact_fit_floor(series)
-    lo, hi = _box(series.n)
+    lo, hi = box(series.n)
 
     x = np.clip(start.as_array(), lo, hi)
     params = LpplParams(*x.tolist())
@@ -217,12 +202,7 @@ def lm_fit(
         iterations += 1
         trial = np.clip(x + delta, lo, hi)
         trial_params = LpplParams(*trial.tolist())
-        try:
-            report, jacobian = evaluate_batch(trial_params, series, threads, jacobian=False)
-        except LpplDomainError:
-            mu *= MU_GROW
-            continue
-
+        report, jacobian = evaluate_batch(trial_params, series, threads, jacobian=False)
         if report.error < error:
             step_scale = np.max(np.abs(trial - x) / np.maximum(1.0, np.abs(x)))
             x, params, error = trial, trial_params, report.error

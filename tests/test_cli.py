@@ -1,9 +1,14 @@
 import csv
+import inspect
 import json
 
 import pytest
 
-from lpplfit.cli import EXIT_INPUT, EXIT_OK, main
+from lpplfit.cli import EXIT_INPUT, EXIT_OK, _lm_config_from, _thresholds_from, build_parser, main
+from lpplfit.driver import ClassifyThresholds, fit_command
+from lpplfit.linear import InterleaveConfig
+from lpplfit.seeds import propose_triples
+from lpplfit.solver import LmConfig
 
 
 def run_synth(tmp_path, name="trace.csv", *extra):
@@ -102,6 +107,32 @@ def test_fit_multiple_weight_schemes(tmp_path, capsys):
     labels = {f["weights"] for f in report["fits"]}
     assert any(l.startswith("quad") for l in labels)
     assert "uniform" in labels
+
+
+@pytest.mark.parametrize("n, flags", [("5", []), ("1000", ["--weights", "step:1,5"])])
+def test_unfittable_input_is_input_error(tmp_path, capsys, n, flags):
+    # 5 prices, or 5 positively weighted points: no scheme can be fitted, so
+    # the run stops before any seed or task with an input error, not exit 3
+    trace = run_synth(tmp_path, "short.csv", "--n", n)
+    assert main(["fit", str(trace), "--column", "price", *flags]) == EXIT_INPUT
+    assert "8 positively weighted points" in capsys.readouterr().err
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["fit", "x.csv"])
+    fit_defaults = {name: p.default
+                    for name, p in inspect.signature(fit_command).parameters.items()}
+    assert args.auto_triples == fit_defaults["auto_triples"]
+    assert args.extremum_window == fit_defaults["extremum_half_width"]
+    assert args.extremum_window == inspect.signature(
+        propose_triples).parameters["half_width"].default
+    assert args.interleave == fit_defaults["interleave"]
+    assert (args.jobs, args.threads) == (fit_defaults["jobs"], fit_defaults["threads"])
+    assert (args.L, args.adaptive_L) == (InterleaveConfig().L, InterleaveConfig().adaptive_L)
+    assert _lm_config_from(args) == LmConfig()
+    for ns in (args, parser.parse_args(["classify", "r.json"])):
+        assert _thresholds_from(ns) == fit_defaults["thresholds"] == ClassifyThresholds()
 
 
 def test_fit_missing_file_is_input_error(tmp_path, capsys):

@@ -16,7 +16,7 @@ from lpplfit.driver import (
 from lpplfit.model import LpplParams
 from lpplfit.solver import FitResult, LmConfig
 from lpplfit.linear import InterleaveConfig
-from lpplfit.synth import PRESETS, SynthSpec, generate_log_prices, standard_suite
+from lpplfit.synth import PRESETS, SynthSpec, generate_log_prices, generate_trace, standard_suite
 from lpplfit.weights import WeightScheme
 
 
@@ -67,35 +67,35 @@ class TestClassify:
 
 
 class TestBuildSeedSet:
-    def base_prices(self, sigma=0.005, seed=1):
+    def base_series(self, sigma=0.005, seed=1):
         spec = SynthSpec(params=PRESETS["base"].params, sigma=sigma, n=1000, seed=seed)
-        return generate_log_prices(spec)
+        return generate_trace(spec)
 
     def test_exponential_always_first(self):
-        seeds = build_seed_set(self.base_prices(), WeightScheme.uniform())
+        seeds = build_seed_set(self.base_series())
         assert seeds[0].provenance == "exponential"
 
     def test_manual_triples_included(self):
         seeds = build_seed_set(
-            self.base_prices(), WeightScheme.uniform(),
+            self.base_series(),
             manual_triples=[(342, 723, 912, "peak")],
         )
         assert any(s.provenance == "triple(342,723,912,peak)" for s in seeds)
 
     def test_bad_manual_triple_skipped(self):
         seeds = build_seed_set(
-            self.base_prices(), WeightScheme.uniform(),
+            self.base_series(),
             manual_triples=[(100, 300, 400, "peak")],  # implied T inside the series
         )
         assert len(seeds) == 1
 
     def test_auto_detection_finds_triples_on_bubble(self):
-        seeds = build_seed_set(self.base_prices(), WeightScheme.uniform(), auto_triples=8)
+        seeds = build_seed_set(self.base_series(), auto_triples=8)
         assert len(seeds) > 1
 
     def test_no_duplicate_triples(self):
         seeds = build_seed_set(
-            self.base_prices(), WeightScheme.uniform(),
+            self.base_series(),
             manual_triples=[(342, 723, 912, "peak"), (342, 723, 912, "peak")],
         )
         provs = [s.provenance for s in seeds]
@@ -171,8 +171,8 @@ class TestFitCommand:
         assert report.verdict.label == "non-lppl"
 
     def test_all_failures_raise(self):
-        # a constant series defeats every seed constructor downstream of the
-        # exponential pre-fit, whose regression needs index variance
+        # five points cannot be fitted under any scheme, so the run raises
+        # (a ValueError, before it builds a seed or runs a task)
         flat = np.zeros(20)
         with pytest.raises((AllFitsFailed, ValueError)):
             fit_command(flat[:5], [WeightScheme.uniform()])

@@ -8,7 +8,7 @@ from lpplfit.linear import (
     solve_linear_subsystem,
     update_L,
 )
-from lpplfit.model import LpplParams, PriceSeries, evaluate_batch
+from lpplfit.model import B_MIN, LpplParams, PriceSeries, evaluate_batch
 from lpplfit.solver import LmConfig, lm_fit
 from lpplfit.seeds import exponential_prefit
 from lpplfit.synth import PRESETS, SynthSpec, generate_trace, standard_suite
@@ -73,6 +73,17 @@ class TestLinearSubsystem:
         series = noiseless_base(n=300)
         flipped = PriceSeries(log_prices=-series.log_prices, weights=series.weights)
         res = solve_linear_subsystem(flipped, PRESETS["base"].params)
+        assert res.status == "nonpositive-beta"
+        assert res.params is None
+
+    def test_beta_below_box_rejected(self):
+        # a noiseless trace with 0 < B < B_MIN: the linear solve recovers that
+        # beta, which is outside the feasibility box, so it must not be "ok"
+        truth = PRESETS["base"].params.replace(B=1e-13)
+        assert truth.C != 0
+        series = generate_trace(SynthSpec(params=truth, sigma=0.0, n=1000, seed=0))
+        res = solve_linear_subsystem(series, truth.replace(B=PRESETS["base"].params.B))
+        assert 0 < res.beta < B_MIN
         assert res.status == "nonpositive-beta"
         assert res.params is None
 

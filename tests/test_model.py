@@ -6,11 +6,15 @@ import pytest
 
 from lpplfit import model
 from lpplfit.model import (
+    B_MIN,
     BLOCK,
+    M_MAX,
+    M_MIN,
     LpplDomainError,
     LpplParams,
     PriceSeries,
     block_bounds,
+    box,
     evaluate_batch,
     lppl_jacobian,
     lppl_jacobian_row,
@@ -311,6 +315,38 @@ class TestLpplParams:
                 p.replace(omega=bad).validate(1000)
         with pytest.raises(LpplDomainError):
             p.validate(1100)
+
+        # validate(n) accepts a finite point exactly when clipping it to box(n)
+        # leaves it unchanged: each bound, the float just outside and just
+        # inside it, half the lower bounds, and a seeded sample around them.
+        # n = 9 and 1000 take the nextafter guard of the T floor, n = 300 not.
+        rng = np.random.default_rng(20261019)
+        for n in (9, 300, 1000):
+            lo, hi = box(n)
+            edges = {1: [B_MIN, B_MIN / 2], 2: [lo[2]], 3: [M_MIN, M_MAX, M_MIN / 2]}
+            points = []
+            for k, values in edges.items():
+                for edge in values:
+                    for value in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)):
+                        v = p.as_array()
+                        v[k] = value
+                        points.append(v)
+            for _ in range(2000):
+                v = p.as_array()
+                v[0], v[4], v[5], v[6] = rng.normal(0.0, 10.0, 4)
+                v[1] = B_MIN * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2, 2)
+                v[2] = lo[2] + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-20, 0)
+                v[3] = rng.choice([M_MIN, M_MAX]) + rng.normal(0.0, rng.choice([1e-7, 1e-16]))
+                points.append(v)
+            assert len({tuple(np.clip(v, lo, hi) == v) for v in points}) > 4
+            for v in points:
+                inside = np.array_equal(np.clip(v, lo, hi), v)
+                try:
+                    LpplParams.from_array(v).validate(n)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == inside, (n, v)
 
     def test_array_round_trip(self):
         p = PRESETS["oscillatory"].params

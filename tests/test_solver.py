@@ -6,11 +6,8 @@ from scipy.optimize import least_squares
 
 from lpplfit import model, solver
 from lpplfit.linear import solve_linear_subsystem
-from lpplfit.model import T_GAP, LpplParams, PriceSeries, lppl_values
+from lpplfit.model import B_MIN, M_MAX, M_MIN, T_GAP, LpplParams, PriceSeries, lppl_values
 from lpplfit.solver import (
-    B_MIN,
-    M_MAX,
-    M_MIN,
     FitResult,
     LmConfig,
     exact_fit_floor,
