@@ -197,7 +197,7 @@ def _report_csv(report) -> str:
     writer.writerow(["seed", "weights", "average_error", "T", "m", "C", "omega", "termination"])
     for rf in report.fits:
         p = rf.result.params
-        writer.writerow([rf.task.seed.provenance, rf.task.scheme.label(),
+        writer.writerow([rf.seed.provenance, rf.scheme.label(),
                          *(float(v) for v in (rf.result.average_error, p.T, p.m, p.C, p.omega)),
                          rf.result.termination])
     return out.getvalue()

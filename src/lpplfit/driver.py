@@ -1,9 +1,10 @@
 """Multi-start orchestration, bubble classification, report emission, benchmarking.
 
-Runs every (seed x weight-scheme) combination as an independent task in a
-thread pool (`jobs` concurrent fits, each internally parallel over `threads`
-evaluation workers), ranks results by average error, and classifies the best
-fit against the exponential null hypothesis.
+Builds one seed set per distinct weight scheme, runs every (seed x scheme)
+combination as an independent task in a thread pool (`jobs` concurrent fits,
+each internally parallel over `threads` evaluation workers), ranks results by
+average error, and classifies the best fit against the exponential null
+hypothesis (the best scheme's exponential seed).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,15 +83,10 @@ def classify(
     return Verdict(label="lppl-bubble", reasons=("m, omega, and error reduction all pass",))
 
 
-@dataclass(frozen=True)
-class FitTask:
-    seed: InitSeed
-    scheme: WeightScheme
-
-
 @dataclass
 class RankedFit:
-    task: FitTask
+    seed: InitSeed
+    scheme: WeightScheme
     result: FitResult
 
 
@@ -155,31 +151,30 @@ def fit_command(
     thresholds: ClassifyThresholds = ClassifyThresholds(),
     collect_timings: bool = False,
 ) -> RunReport:
-    """Fit every (seed x scheme) combination and rank by average error.
+    """Fit every (seed x distinct scheme) combination and rank by average error.
 
-    Each scheme's series is built and checked for fit readiness before any
-    seed is built, so a scheme that cannot be fitted is a ValueError for the
-    whole run. Each task is deterministic, so running them across `jobs`
-    workers cannot change any individual result, only wall time. Rank ties
-    break by task order so reports are stable.
+    A repeated scheme is fitted once. Each scheme's series is built and
+    checked for fit readiness before any seed is built, so a scheme that
+    cannot be fitted is a ValueError for the whole run. Each task is
+    deterministic, so running them across `jobs` workers cannot change any
+    individual result, only wall time. Rank ties break by task order so
+    reports are stable. The baseline is the best scheme's exponential seed.
     """
     n = log_prices.shape[0]
     series_of = {scheme: PriceSeries(log_prices=log_prices, weights=build_weights(scheme, n))
                  for scheme in schemes}
     for series in series_of.values():
         series.require_fit_ready()
-    tasks = [FitTask(seed=seed, scheme=scheme) for scheme in schemes
-             for seed in build_seed_set(series_of[scheme], manual_triples,
-                                        auto_triples, extremum_half_width)]
-    if not tasks:
-        raise AllFitsFailed(["no seed could be constructed"])
+    seeds_of = {scheme: build_seed_set(series, manual_triples, auto_triples, extremum_half_width)
+                for scheme, series in series_of.items()}
+    tasks = [(seed, scheme) for scheme, seeds in seeds_of.items() for seed in seeds]
 
-    def run(task: FitTask):
-        series = series_of[task.scheme]
+    def run(task: Tuple[InitSeed, WeightScheme]):
+        seed, scheme = task
         try:
             if interleave:
-                return interleave_fit(series, task.seed.params, config, threads)
-            return lm_fit(series, task.seed.params, config.lm, threads)
+                return interleave_fit(series_of[scheme], seed.params, config, threads)
+            return lm_fit(series_of[scheme], seed.params, config.lm, threads)
         except Exception as exc:
             return exc
 
@@ -194,16 +189,14 @@ def fit_command(
 
     fits: List[RankedFit] = []
     timings: List[dict] = []
-    for task, result in zip(tasks, raw):
+    for (seed, scheme), result in zip(tasks, raw):
         if isinstance(result, Exception):
-            failures.append(
-                f"{task.seed.provenance} / {task.scheme.label()}: {result}"
-            )
+            failures.append(f"{seed.provenance} / {scheme.label()}: {result}")
             continue
-        fits.append(RankedFit(task=task, result=result))
+        fits.append(RankedFit(seed=seed, scheme=scheme, result=result))
         timings.append({
-            "seed": task.seed.provenance,
-            "weights": task.scheme.label(),
+            "seed": seed.provenance,
+            "weights": scheme.label(),
             "wall_time": result.wall_time,
             "iterations": result.iterations,
         })
@@ -216,7 +209,7 @@ def fit_command(
 
     # Self-consistency: the reported error must be reproducible from the
     # reported parameters against the reported data and weights.
-    series = series_of[best.task.scheme]
+    series = series_of[best.scheme]
     recheck, _ = evaluate_batch(best.result.params, series, threads, jacobian=False)
     if not np.isclose(recheck.error, best.result.error, rtol=1e-9, atol=1e-12):
         raise RuntimeError(
@@ -224,8 +217,8 @@ def fit_command(
             f"(re-evaluation gives {recheck.error})"
         )
 
-    baseline_seed = exponential_prefit(series)
-    baseline_report, _ = evaluate_batch(baseline_seed.params, series, threads, jacobian=False)
+    baseline = seeds_of[best.scheme][0]
+    baseline_report, _ = evaluate_batch(baseline.params, series, threads, jacobian=False)
 
     verdict = classify(best.result, baseline_report.average_error, thresholds)
     return RunReport(
@@ -248,8 +241,8 @@ def report_to_dict(report: RunReport) -> dict:
     """
     def fit_record(rf: RankedFit) -> dict:
         return {
-            "seed": rf.task.seed.provenance,
-            "weights": rf.task.scheme.label(),
+            "seed": rf.seed.provenance,
+            "weights": rf.scheme.label(),
             "params": rf.result.params.to_dict(),
             "error": rf.result.error,
             "average_error": rf.result.average_error,
@@ -265,12 +258,7 @@ def report_to_dict(report: RunReport) -> dict:
         "fits": [fit_record(rf) for rf in report.fits],
         "verdict": {"label": report.verdict.label, "reasons": list(report.verdict.reasons)},
         "baseline_average_error": report.baseline_average_error,
-        "thresholds": {
-            "m_hi": report.thresholds.m_hi,
-            "omega_lo": report.thresholds.omega_lo,
-            "c_lo": report.thresholds.c_lo,
-            "min_reduction": report.thresholds.min_reduction,
-        },
+        "thresholds": asdict(report.thresholds),
         "failures": report.failures,
     }
     if report.timings is not None:

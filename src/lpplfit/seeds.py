@@ -5,6 +5,7 @@ oscillation apart satisfy (T - i)/(T - j) = (T - j)/(T - k) = rho, which
 pins down rho = (j - i)/(k - j), omega = 2*pi / ln(rho), and
 T = (rho*k - j)/(rho - 1). The phase is then read off by requiring the
 oscillation angle at k to sit at a peak (or trough) of the price.
+Windows are numpy views of the edge-padded series; every seed is in `model.box`.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d, uniform_filter1d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import LpplParams, PriceSeries
 
-# Floor substituted when the regression slope is non-positive: keeps the seed
-# inside the B > 0 box while staying numerically negligible.
+# Floor on the regression slope taken as B: above model.B_MIN, so every seed
+# lies inside the box, while staying numerically negligible.
 B_FLOOR = 1e-8
 
 DEFAULT_EXTREMUM_HALF_WIDTH = 10
@@ -61,7 +62,7 @@ def exponential_prefit(series: PriceSeries, T: Optional[float] = None) -> InitSe
     slope = float(np.sum(w * (i - ibar) * y) / var)
     intercept = float(np.sum(w * y) / sw - slope * ibar)
 
-    B = slope if slope > 0 else B_FLOOR
+    B = max(slope, B_FLOOR)
     A = intercept + B * T
     params = LpplParams(A=A, B=B, T=float(T), m=1.0, C=0.0, omega=1.0, phi=0.0)
     return InitSeed(params=params, provenance="exponential")
@@ -110,14 +111,22 @@ def triple_to_seed(
     return InitSeed(params=params, provenance=f"triple({i},{j},{k},{kind})")
 
 
+def _envelope(y: np.ndarray, half_width: int, mode: str) -> np.ndarray:
+    """Max (mode "max") or min of y over each centred window of 2*half_width + 1 points."""
+    windows = sliding_window_view(np.pad(y, half_width, mode="edge"), 2 * half_width + 1)
+    return windows.max(axis=1) if mode == "max" else windows.min(axis=1)
+
+
+def _window_mean(y: np.ndarray, half_width: int) -> np.ndarray:
+    """Centred window mean, a running sum in `uniform_filter1d`'s order (so its bits)."""
+    size = 2 * half_width + 1
+    p = np.pad(y, half_width, mode="edge")
+    return np.cumsum(np.concatenate((p[:size], p[size:] - p[:-size])))[size - 1:] / size
+
+
 def _local_extrema(y: np.ndarray, half_width: int, mode: str) -> List[int]:
     """1-based indices where y attains the window extremum, deduplicated plateaus."""
-    size = 2 * half_width + 1
-    if mode == "max":
-        env = maximum_filter1d(y, size=size, mode="nearest")
-    else:
-        env = minimum_filter1d(y, size=size, mode="nearest")
-    hits = np.flatnonzero(y == env)
+    hits = np.flatnonzero(y == _envelope(y, half_width, mode))
     out: List[int] = []
     for h in hits:
         if out and h - (out[-1] - 1) <= half_width:
@@ -147,7 +156,7 @@ def propose_triples(
     if detrend:
         pre = exponential_prefit(series).params
         y = y - (pre.A - pre.B * (pre.T - series.indices))
-        y = uniform_filter1d(y, size=2 * half_width + 1, mode="nearest")
+        y = _window_mean(y, half_width)
     candidates: List[Tuple[int, int, int, str]] = []
     for kind, mode in (("peak", "max"), ("trough", "min")):
         ext = [e for e in _local_extrema(y, half_width, mode) if 1 < e < series.n]

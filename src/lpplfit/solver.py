@@ -142,8 +142,9 @@ def lm_fit(
 
     Every accepted step strictly decreases the weighted error E; rejected steps
     only raise mu. The run ends as converged once E is at the rounding floor
-    (`exact_fit_floor`), checked before each step, so a start that is already
-    exact takes 0 iterations.
+    (`exact_fit_floor`), checked before each step and before the iteration
+    cap, so a start that is already exact takes 0 iterations and a run that
+    reaches the floor on its last allowed step still ends converged.
     Identical inputs give identical results, whatever the thread count.
 
     A trial point is evaluated for its residuals and E only. The Jacobian and
@@ -184,8 +185,12 @@ def lm_fit(
             mu_bar_final=mu_bar,
         )
 
-    while iterations < config.max_iterations:
-        if error <= floor or np.max(np.abs(g)) < config.gradient_tol:
+    while True:
+        if error <= floor:
+            return finish("converged")
+        if iterations >= config.max_iterations:
+            return finish("iteration-cap")
+        if np.max(np.abs(g)) < config.gradient_tol:
             return finish("converged")
 
         delta = _solve_step(N, g, mu) if 0.0 < mu < np.inf else None
@@ -216,9 +221,5 @@ def lm_fit(
                 prev = history[-1 - k]
                 if prev > 0 and (prev - error) / prev < config.error_tol:
                     return finish("converged")
-            if error <= floor:
-                return finish("converged")
         else:
             mu *= MU_GROW
-
-    return finish("iteration-cap")

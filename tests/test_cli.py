@@ -1,6 +1,7 @@
 import csv
 import inspect
 import json
+import math
 
 import pytest
 
@@ -107,6 +108,24 @@ def test_fit_multiple_weight_schemes(tmp_path, capsys):
     labels = {f["weights"] for f in report["fits"]}
     assert any(l.startswith("quad") for l in labels)
     assert "uniform" in labels
+
+
+def test_repeated_weight_scheme_is_fitted_once(tmp_path):
+    trace = run_synth(tmp_path)
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    args = ["fit", str(trace), "--column", "price", *FAST_FIT, "--weights", "uniform"]
+    assert main([*args, "--out", str(once)]) == EXIT_OK
+    assert main([*args, "--weights", "uniform", "--out", str(twice)]) == EXIT_OK
+    assert once.read_bytes() == twice.read_bytes()
+
+
+def test_tiny_positive_slope_fits(tmp_path, capsys):
+    # ln p = 5 + 1e-13 * i: the exponential baseline used to fail the B floor
+    trace = tmp_path / "tiny.csv"
+    trace.write_text("price\n" + "".join(f"{math.exp(5 + 1e-13 * i)!r}\n"
+                                          for i in range(1, 201)))
+    assert main(["fit", str(trace), "--column", "price", "--auto-triples", "0"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["fits"]
 
 
 @pytest.mark.parametrize("n, flags", [("5", []), ("1000", ["--weights", "step:1,5"])])

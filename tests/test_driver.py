@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from lpplfit.driver import (
     AllFitsFailed,
@@ -13,7 +15,7 @@ from lpplfit.driver import (
     report_to_dict,
     report_to_json,
 )
-from lpplfit.model import LpplParams
+from lpplfit.model import LpplParams, PriceSeries
 from lpplfit.solver import FitResult, LmConfig
 from lpplfit.linear import InterleaveConfig
 from lpplfit.synth import PRESETS, SynthSpec, generate_log_prices, generate_trace, standard_suite
@@ -101,6 +103,23 @@ class TestBuildSeedSet:
         provs = [s.provenance for s in seeds]
         assert len(provs) == len(set(provs))
 
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(n=st.integers(8, 3000), shape=st.sampled_from(["walk", "flat", "falling", "tiny"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=200, shape="tiny", seed=0)
+    @example(n=8, shape="flat", seed=0)
+    def test_every_seed_is_in_the_box(self, n, shape, seed):
+        rng = np.random.default_rng(seed)
+        i = np.arange(1, n + 1)
+        walk = np.cumsum(rng.normal(0.0, rng.choice([1e-4, 0.01, 0.1]), n))
+        y = 5.0 + {"walk": walk, "flat": 0.0 * i, "falling": walk - 1e-3 * i,
+                   "tiny": 1e-13 * i}[shape]
+        series = PriceSeries(log_prices=y, weights=np.ones(n))
+        for init in build_seed_set(series, manual_triples=[(1, n // 2, n - n // 8, "peak")],
+                                   auto_triples=8, extremum_half_width=int(rng.integers(1, 40))):
+            init.params.validate(n)
+
 
 def quick_config():
     return InterleaveConfig(lm=LmConfig(max_iterations=60), max_rounds=30)
@@ -169,6 +188,13 @@ class TestFitCommand:
         report = fit_command(generate_log_prices(spec), [WeightScheme.uniform()],
                              config=quick_config())
         assert report.verdict.label == "non-lppl"
+
+    def test_tiny_positive_slope_gets_a_report(self):
+        # the slope 1e-13 is below the box's B floor; the exponential seed,
+        # which is also the baseline, must still be a valid point
+        report = fit_command(5 + 1e-13 * np.arange(1, 201), [WeightScheme.uniform()],
+                             auto_triples=0)
+        assert report.fits and report.baseline_average_error >= 0
 
     def test_all_failures_raise(self):
         # five points cannot be fitted under any scheme, so the run raises

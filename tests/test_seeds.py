@@ -1,11 +1,19 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter1d, minimum_filter1d, uniform_filter1d
 
+import lpplfit
 from lpplfit.model import PriceSeries, lppl_values
 from lpplfit.seeds import (
+    B_FLOOR,
     SeedRejected,
+    _envelope,
+    _window_mean,
     exponential_prefit,
     propose_triples,
     triple_geometry,
@@ -73,7 +81,12 @@ class TestExponentialPrefit:
 
     def test_flat_series_floors_B(self):
         seed = exponential_prefit(flat_series())
-        assert seed.params.B == 1e-8
+        assert seed.params.B == B_FLOOR == 1e-8
+        # a positive slope below the floor is floored too, so B stays in the box
+        n = 50
+        rising = PriceSeries(log_prices=3.0 + 1e-10 * np.arange(1, n + 1), weights=np.ones(n))
+        assert 0 < np.polyfit(np.arange(n), rising.log_prices, 1)[0] < B_FLOOR
+        assert exponential_prefit(rising).params.B == B_FLOOR
 
     def test_default_T(self):
         seed = exponential_prefit(flat_series(n=100))
@@ -153,3 +166,29 @@ class TestProposeTriples:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             propose_triples(flat_series(), half_width=0)
+
+
+class TestWindows:
+    """The numpy windows reproduce scipy.ndimage's mode="nearest" filters bit for bit."""
+
+    def test_match_ndimage(self):
+        rng = np.random.default_rng(20261019)
+        for half_width in range(1, 81):
+            size = 2 * half_width + 1
+            for n in (1, half_width, size - 1, size, int(rng.integers(size + 1, 2000))):
+                scale = rng.choice([1e-13, 1e-3, 1.0])
+                y = rng.normal(5.0, 1.0) + np.cumsum(rng.normal(0.0, scale, n))
+                assert np.array_equal(_envelope(y, half_width, "max"),
+                                      maximum_filter1d(y, size, mode="nearest"))
+                assert np.array_equal(_envelope(y, half_width, "min"),
+                                      minimum_filter1d(y, size, mode="nearest"))
+                assert np.array_equal(_window_mean(y, half_width),
+                                      uniform_filter1d(y, size, mode="nearest"))
+
+    def test_import_leaves_ndimage_out(self):
+        src = str(Path(lpplfit.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import lpplfit; "
+                "sys.exit('scipy.ndimage' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr or "import lpplfit loaded scipy.ndimage"

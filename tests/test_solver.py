@@ -146,6 +146,19 @@ class TestLmFit:
         assert res.iterations == 0
         assert res.params == start
 
+    def test_floor_on_the_last_allowed_step_is_converged(self):
+        # the floor is checked before the iteration cap, so a run capped at
+        # exactly the step that reaches the floor still ends converged
+        spec = SynthSpec(params=PRESETS["base"].params, sigma=0.0, n=1000, seed=0)
+        series = generate_trace(spec)
+        free = lm_fit(series, perturbed(spec.params), LmConfig(max_iterations=500))
+        assert free.termination == "converged" and free.error <= exact_fit_floor(series)
+        capped = lm_fit(series, perturbed(spec.params), LmConfig(max_iterations=free.iterations))
+        assert capped.termination == "converged"
+        assert capped.params == free.params and capped.iterations == free.iterations
+        short = LmConfig(max_iterations=free.iterations - 1)
+        assert lm_fit(series, perturbed(spec.params), short).termination == "iteration-cap"
+
     def test_iteration_cap(self):
         spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=300, seed=1)
         series = generate_trace(spec)
