@@ -91,16 +91,10 @@ def _lm_config_from(args) -> LmConfig:
         loaded = _load_json(args.config)
         if not isinstance(loaded, dict):
             raise IngestError(f"solver config {args.config} must be a JSON object")
-        defaults = LmConfig()
         valid = {f.name for f in dataclasses.fields(LmConfig)}
         unknown = set(loaded) - valid
         if unknown:
             raise IngestError(f"unknown solver config keys: {sorted(unknown)}")
-        for key, value in loaded.items():
-            # an int field takes an int; a float field takes an int or a float
-            want = int if isinstance(getattr(defaults, key), int) else (int, float)
-            if isinstance(value, bool) or not isinstance(value, want):
-                raise IngestError(f"solver config key {key!r} has the wrong type: {value!r}")
         kwargs.update(loaded)
     if args.max_iter is not None:
         kwargs["max_iterations"] = args.max_iter
@@ -204,6 +198,10 @@ def _report_csv(report) -> str:
 
 
 def cmd_fit(args) -> int:
+    for path in filter(None, (args.out, args.plot_csv)):  # before any fit
+        parent = Path(path).parent
+        if not parent.is_dir() or not os.access(parent, os.W_OK):
+            raise IngestError(f"cannot write {path}: {parent} is not a writable directory")
     raw = load_csv(args.data, column=args.column)
     schemes = [parse_scheme(s) for s in (args.weights or ["uniform"])]
     series = to_series(raw)
@@ -223,12 +221,12 @@ def cmd_fit(args) -> int:
         thresholds=_thresholds_from(args),
         collect_timings=args.timings,
     )
+    if args.plot_csv:  # first, so a failed write leaves no report behind
+        write_plot_csv(args.plot_csv, series.log_prices, report.best.result.params)
     if args.format == "json":
         _emit(report_to_json(report), args.out)
     else:
         _emit(_report_csv(report), args.out)
-    if args.plot_csv:
-        write_plot_csv(args.plot_csv, series.log_prices, report.best.result.params)
     return EXIT_OK
 
 

@@ -118,19 +118,9 @@ def build_seed_set(
     seeds = [exponential_prefit(series)]
     triples = list(manual_triples)
     if auto_triples > 0:
-        # Raw-series detection per the module contract, plus detrended
-        # detection over a window ladder: base-like bubbles have a monotone
-        # trend that hides the oscillation extrema at any single raw window.
         triples += propose_triples(series, half_width=extremum_half_width,
                                    max_triples=auto_triples)
-        for hw in (extremum_half_width, 2 * extremum_half_width, 4 * extremum_half_width):
-            triples += propose_triples(series, half_width=hw,
-                                       max_triples=auto_triples, detrend=True)
-    seen = set()
-    for (i, j, k, kind) in triples:
-        if (i, j, k, kind) in seen:
-            continue
-        seen.add((i, j, k, kind))
+    for (i, j, k, kind) in dict.fromkeys(map(tuple, triples)):  # first of each, in order
         try:
             seeds.append(triple_to_seed(i, j, k, kind, series))
         except SeedRejected:

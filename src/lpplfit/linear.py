@@ -58,7 +58,7 @@ def solve_linear_subsystem(
     """
     series.require_fit_ready()
     fixed.validate(series.n)
-    kv = lppl_kernel_values(fixed, series.indices)
+    _, kv = lppl_kernel_values(fixed, series.indices)
     v, z = kv.g, kv.g * kv.cos_t
 
     sw = np.sqrt(series.weights)

@@ -2,10 +2,11 @@
 
 The model is f(x) = A - B (T - x)^m (1 + C cos(omega ln(T - x) + phi)) fitted
 against log prices at integer indices 1..n. f and its partials are defined
-once, in two stages: `lppl_kernel_values` computes f and keeps its
-intermediates (T - x, ln(T - x), (T - x)^m, theta, cos theta, 1 + C cos
-theta), and `lppl_kernel_partials` adds sin theta and (T - x)^(m-1) and
-writes the 7 columns. Every evaluator and the linear sub-system call them.
+once, in two stages: `lppl_kernel_values` computes f and keeps four
+intermediates (T - x, ln(T - x), (T - x)^m, cos theta), and
+`lppl_kernel_partials` rebuilds theta and 1 + C cos theta from them with the
+same expressions, adds sin theta and (T - x)^(m-1), and writes the 7 columns.
+Every evaluator and the linear sub-system call them.
 
 The fit constraints B > 0, 0 < m <= 1, T > n are one closed box, defined
 here alone: `box(n)` gives its bounds, and `LpplParams.validate` accepts
@@ -177,34 +178,30 @@ def _check_domain(params: LpplParams, x) -> None:
 
 
 class KernelValues(NamedTuple):
-    """Output of the kernel's value stage: f and the intermediates the partials reuse."""
+    """The value stage's logs, powers and cosines, which the partials stage reuses."""
 
-    f: np.ndarray
     d: np.ndarray  # T - x
     logd: np.ndarray
     g: np.ndarray  # (T - x)^m
-    theta: np.ndarray
-    cos_t: np.ndarray
-    osc: np.ndarray  # 1 + C cos theta
+    cos_t: np.ndarray  # cos theta
 
 
-def lppl_kernel_values(params: LpplParams, x) -> KernelValues:
-    """Value stage: f at x (a float or an array), with its intermediates; requires T - x > 0."""
+def lppl_kernel_values(params: LpplParams, x):
+    """Value stage: (f, KernelValues) at x (a float or an array); requires T - x > 0."""
     d = params.T - x
     logd = np.log(d)
     g = np.power(d, params.m)
-    theta = params.omega * logd + params.phi
-    cos_t = np.cos(theta)
-    osc = 1.0 + params.C * cos_t
-    f = params.A - params.B * g * osc
-    return KernelValues(f, d, logd, g, theta, cos_t, osc)
+    cos_t = np.cos(params.omega * logd + params.phi)  # theta, rebuilt by the partials
+    f = params.A - params.B * g * (1.0 + params.C * cos_t)
+    return f, KernelValues(d, logd, g, cos_t)
 
 
 def lppl_kernel_partials(params: LpplParams, v: KernelValues, jac) -> None:
     """Partials stage: writes the 7 partials at v's points into jac[..., k].
 
-    `jac` has shape x.shape + (7,), columns in PARAM_NAMES order. With
-    g = (T-x)^m and theta = omega ln(T-x) + phi:
+    theta and 1 + C cos theta are rebuilt from v by the value stage's own
+    expressions, so they have its bits. `jac` has shape x.shape + (7,),
+    columns in PARAM_NAMES order. With g = (T-x)^m and theta = omega ln(T-x) + phi:
       f = A - B g (1 + C cos theta)
       df/dA = 1
       df/dB = -g (1 + C cos theta)
@@ -215,8 +212,9 @@ def lppl_kernel_partials(params: LpplParams, v: KernelValues, jac) -> None:
       df/dphi = B g C sin theta
     """
     B, C = params.B, params.C
-    g, logd, cos_t, osc = v.g, v.logd, v.cos_t, v.osc
-    sin_t = np.sin(v.theta)
+    g, logd, cos_t = v.g, v.logd, v.cos_t
+    osc = 1.0 + C * cos_t
+    sin_t = np.sin(params.omega * logd + params.phi)
     g1 = np.power(v.d, params.m - 1.0)
     jac[..., 0] = 1.0
     jac[..., 1] = -g * osc
@@ -231,14 +229,14 @@ def lppl_values(params: LpplParams, x: np.ndarray) -> np.ndarray:
     """Vectorized f(x); requires T - x > 0 elementwise."""
     x = np.asarray(x, dtype=float)
     _check_domain(params, x)
-    return lppl_kernel_values(params, x).f
+    return lppl_kernel_values(params, x)[0]
 
 
 def lppl_value(params: LpplParams, x: float) -> float:
     """f(x) at a single point; bit-identical to the matching element of `lppl_values`."""
     x = float(x)
     _check_domain(params, x)
-    return float(lppl_kernel_values(params, x).f)
+    return float(lppl_kernel_values(params, x)[0])
 
 
 def lppl_jacobian(params: LpplParams, x: np.ndarray) -> np.ndarray:
@@ -246,7 +244,7 @@ def lppl_jacobian(params: LpplParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     _check_domain(params, x)
     J = np.empty((x.shape[0], 7))
-    lppl_kernel_partials(params, lppl_kernel_values(params, x), J)
+    lppl_kernel_partials(params, lppl_kernel_values(params, x)[1], J)
     return J
 
 
@@ -255,7 +253,7 @@ def lppl_jacobian_row(params: LpplParams, x: float) -> np.ndarray:
     x = float(x)
     _check_domain(params, x)
     row = np.empty(7)
-    lppl_kernel_partials(params, lppl_kernel_values(params, x), row)
+    lppl_kernel_partials(params, lppl_kernel_values(params, x)[1], row)
     return row
 
 
@@ -308,8 +306,8 @@ def evaluate_batch(
 
     def value_stage(block):
         lo, hi = block
-        v = lppl_kernel_values(params, x[lo:hi])
-        residuals[lo:hi] = v.f - y[lo:hi]
+        f, v = lppl_kernel_values(params, x[lo:hi])
+        residuals[lo:hi] = f - y[lo:hi]
         return v
 
     kept = _map(value_stage, blocks, threads)  # value-stage intermediates, one per block

@@ -139,31 +139,30 @@ def propose_triples(
     series: PriceSeries,
     half_width: int = DEFAULT_EXTREMUM_HALF_WIDTH,
     max_triples: Optional[int] = None,
-    detrend: bool = False,
 ) -> List[Tuple[int, int, int, str]]:
-    """Candidate (i, j, k, kind) triples from sliding-window extrema, recent first.
+    """Candidate (i, j, k, kind) triples from a ladder of sliding-window extremum scans.
 
-    Returns consecutive same-kind extremum triples with rho > 1. Selection is
-    a heuristic stand-in for manual inspection; `--triple` bypasses it.
-    With `detrend`, extrema are taken on the smoothed residual of the
-    exponential pre-fit instead of raw ln p: a monotone power-law trend hides
-    the oscillation peaks of a developing bubble, so the raw-series detector
-    only sees them once the trend is removed.
+    The first scan reads raw ln p at `half_width`. A monotone power-law trend
+    hides the oscillation peaks of a developing bubble, so three more read the
+    residual of one exponential pre-fit, smoothed at 1, 2 and 4 times
+    `half_width`. Each scan lists its consecutive same-kind triples with
+    rho > 1 recent first, capped at `max_triples`; the scans follow in that
+    order and may repeat a triple. Selection is a heuristic stand-in for
+    manual inspection; `--triple` bypasses it.
     """
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
     y = series.log_prices
-    if detrend:
-        pre = exponential_prefit(series).params
-        y = y - (pre.A - pre.B * (pre.T - series.indices))
-        y = _window_mean(y, half_width)
-    candidates: List[Tuple[int, int, int, str]] = []
-    for kind, mode in (("peak", "max"), ("trough", "min")):
-        ext = [e for e in _local_extrema(y, half_width, mode) if 1 < e < series.n]
-        for a, b, c in zip(ext, ext[1:], ext[2:]):
-            if b - a > c - b:
-                candidates.append((a, b, c, kind))
-    candidates.sort(key=lambda t: t[2], reverse=True)
-    if max_triples is not None:
-        candidates = candidates[:max_triples]
-    return candidates
+    pre = exponential_prefit(series).params
+    residual = y - (pre.A - pre.B * (pre.T - series.indices))
+    scans = [(y, half_width)] + [(_window_mean(residual, hw), hw)
+                                 for hw in (half_width, 2 * half_width, 4 * half_width)]
+    triples: List[Tuple[int, int, int, str]] = []
+    for values, hw in scans:
+        scan = []
+        for kind, mode in (("peak", "max"), ("trough", "min")):
+            ext = [e for e in _local_extrema(values, hw, mode) if 1 < e < series.n]
+            scan += [(a, b, c, kind) for a, b, c in zip(ext, ext[1:], ext[2:]) if b - a > c - b]
+        scan.sort(key=lambda t: t[2], reverse=True)
+        triples += scan[:max_triples]
+    return triples

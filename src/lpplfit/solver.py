@@ -15,8 +15,9 @@ stops there as converged.
 
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -43,6 +44,12 @@ class LmConfig:
     error_tol_window: int = 3
 
     def __post_init__(self):
+        for f in fields(self):  # an int field takes an integer; a float field any real number
+            value = getattr(self, f.name)
+            kind, what = ((numbers.Integral, "an integer") if isinstance(f.default, int)
+                          else (numbers.Real, "a number"))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
         if self.mu_init <= 0 or self.mu_bar <= 0:
             raise ValueError("mu_init and mu_bar must be positive")
         if self.mu_bar > self.mu_bar_cap:

@@ -154,6 +154,21 @@ def test_flag_defaults_are_the_library_defaults():
         assert _thresholds_from(ns) == fit_defaults["thresholds"] == ClassifyThresholds()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--plot-csv"])
+def test_unwritable_output_exits_before_any_fit(tmp_path, capsys, monkeypatch, flag):
+    def no_fit(*args, **kwargs):
+        pytest.fail("fit_command ran although an output path cannot be written")
+
+    monkeypatch.setattr("lpplfit.cli.fit_command", no_fit)
+    trace = run_synth(tmp_path)
+    outputs = {"--out": tmp_path / "report.json", "--plot-csv": tmp_path / "plot.csv"}
+    paths = {**outputs, flag: tmp_path / "absent" / "output"}
+    assert main(["fit", str(trace), "--column", "price",
+                 *(arg for item in paths.items() for arg in map(str, item))]) == EXIT_INPUT
+    assert "absent" in capsys.readouterr().err
+    assert not any(path.exists() for path in outputs.values())
+
+
 def test_fit_missing_file_is_input_error(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "absent.csv")]) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from lpplfit import driver, seeds
 from lpplfit.driver import (
     AllFitsFailed,
     ClassifyThresholds,
@@ -19,7 +21,7 @@ from lpplfit.model import LpplParams, PriceSeries
 from lpplfit.solver import FitResult, LmConfig
 from lpplfit.linear import InterleaveConfig
 from lpplfit.synth import PRESETS, SynthSpec, generate_log_prices, generate_trace, standard_suite
-from lpplfit.weights import WeightScheme
+from lpplfit.weights import WeightScheme, build_weights
 
 
 def fake_fit(params, average_error=1e-4):
@@ -102,6 +104,41 @@ class TestBuildSeedSet:
         )
         provs = [s.provenance for s in seeds]
         assert len(provs) == len(set(provs))
+
+    def test_one_ladder_and_one_prefit_for_the_scans(self, monkeypatch):
+        # propose_triples fits the pre-fit regression once for its three
+        # detrended scans; every other pre-fit call makes a seed
+        calls = {"propose_triples": 0, "exponential_prefit": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(driver, "propose_triples", counted(seeds.propose_triples))
+        prefit = counted(seeds.exponential_prefit)
+        monkeypatch.setattr(driver, "exponential_prefit", prefit)
+        monkeypatch.setattr(seeds, "exponential_prefit", prefit)
+        _, _, spec = standard_suite(20260823)[0]  # frozen base#0
+        found = build_seed_set(generate_trace(spec), auto_triples=8)
+        assert len(found) > 1
+        assert calls == {"propose_triples": 1, "exponential_prefit": len(found) + 1}
+
+    def test_frozen_suite_seed_sets_are_pinned(self):
+        # every seed, bit for bit and in order, over the frozen suite under
+        # two weight schemes: any change to the scans, the pre-fit or the
+        # triple geometry moves this digest
+        digest = hashlib.sha256()
+        for _, _, spec in standard_suite(20260823):
+            lp = generate_log_prices(spec)
+            for scheme in (WeightScheme.uniform(), WeightScheme.quadratic(100)):
+                series = PriceSeries(log_prices=lp, weights=build_weights(scheme, spec.n))
+                for init in build_seed_set(series, auto_triples=8):
+                    digest.update(init.provenance.encode())
+                    digest.update(init.params.as_array().tobytes())
+        assert digest.hexdigest() == (
+            "e15ac789b39e68ccda7feb58e5169269aca1e3868eee358a395c1434d1412b2f")
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])

@@ -1,4 +1,5 @@
 import multiprocessing
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -171,6 +172,20 @@ class TestEvaluateBatch:
         assert serial.params == pooled.params
         assert serial.error == pooled.error
         assert serial.error_history == pooled.error_history
+
+    def test_residual_only_result_holds_five_arrays(self):
+        # the residuals plus, per block, the four intermediates the partials
+        # stage needs (T - x, ln(T - x), (T - x)^m, cos theta), not seven
+        spec, series = noisy_trace(2 * BLOCK + 3)
+        series.indices  # cached on first use, outside the evaluation
+        tracemalloc.start()
+        try:
+            held = evaluate_batch(spec.params, series, jacobian=False)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size < 6 * 8 * series.n
+        assert held[0].residuals.shape == (series.n,)
 
     def test_all_zero_weights_zero_error(self):
         n = 50

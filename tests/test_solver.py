@@ -30,9 +30,14 @@ class TestConfigAndPolicy:
             LmConfig(mu_bar=1e9, mu_bar_cap=1e8)
         for bad in ({"max_iterations": 0}, {"max_restarts": 0}, {"error_tol_window": 0},
                     {"error_tol_window": -5}, {"gradient_tol": -1e-12}, {"step_tol": -1.0},
-                    {"error_tol": float("nan")}):
+                    {"error_tol": float("nan")}, {"max_iterations": 2.5},
+                    {"max_iterations": True}, {"max_restarts": 3.0}, {"mu_init": True},
+                    {"step_tol": "0"}, {"mu_bar_cap": None}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 LmConfig(**bad)
+        # an integer is a real number, and an infinite mu_init is carried over
+        # from a run that ended with its damping exhausted
+        LmConfig(mu_init=float("inf"), gradient_tol=0, max_iterations=np.int64(5))
         LmConfig(gradient_tol=0.0, step_tol=0.0, error_tol=0.0, error_tol_window=1,
                  max_restarts=1)
 
