@@ -85,22 +85,6 @@ def _load_json(path):
                          parse_int=lambda text: finite(text, int))
 
 
-def _lm_config_from(args) -> LmConfig:
-    kwargs = {}
-    if args.config:
-        loaded = _load_json(args.config)
-        if not isinstance(loaded, dict):
-            raise IngestError(f"solver config {args.config} must be a JSON object")
-        valid = {f.name for f in dataclasses.fields(LmConfig)}
-        unknown = set(loaded) - valid
-        if unknown:
-            raise IngestError(f"unknown solver config keys: {sorted(unknown)}")
-        kwargs.update(loaded)
-    if args.max_iter is not None:
-        kwargs["max_iterations"] = args.max_iter
-    return LmConfig(**kwargs)
-
-
 def _add_threshold_flags(p):
     for f in dataclasses.fields(ClassifyThresholds):  # --m-hi, --omega-lo, ...
         p.add_argument(f"--{f.name.replace('_', '-')}", type=_finite_float, default=f.default)
@@ -138,14 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--extremum-window", type=int, default=DEFAULT_EXTREMUM_HALF_WIDTH,
                      help="half-width of the extremum detection window")
     fit.add_argument("--interleave", type=_on_off, default=True, metavar="on|off")
-    fit.add_argument("--L", type=int, default=InterleaveConfig.L,
-                     help="LM iteration bound per interleave round")
-    fit.add_argument("--adaptive-L", type=_on_off, default=InterleaveConfig.adaptive_L,
-                     metavar="on|off")
-    fit.add_argument("--max-iter", type=int, default=None, help="LM iteration cap; "
-                     "only with --interleave off, which otherwise caps LM runs at L")
-    fit.add_argument("--config", default=None,
-                     help="JSON file with LmConfig keys (max_iterations as for --max-iter)")
+    fit.add_argument("--max-iter", type=int, default=LmConfig.max_iterations,
+                     help="LM iteration cap; only with --interleave off, since the "
+                          "interleave caps each LM run at its round's adaptive L")
     _add_threshold_flags(fit)
     fit.add_argument("--timings", action="store_true",
                      help="include wall-clock timings in the report (breaks byte-determinism)")
@@ -205,8 +184,7 @@ def cmd_fit(args) -> int:
     raw = load_csv(args.data, column=args.column)
     schemes = [parse_scheme(s) for s in (args.weights or ["uniform"])]
     series = to_series(raw)
-    config = InterleaveConfig(lm=_lm_config_from(args), L=args.L,
-                              adaptive_L=args.adaptive_L)
+    config = InterleaveConfig(lm=LmConfig(max_iterations=args.max_iter))
     jobs = args.jobs if args.jobs >= 1 else max(1, os.cpu_count() or 1)
     report = fit_command(
         series.log_prices,

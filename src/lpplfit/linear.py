@@ -16,17 +16,18 @@ the objective.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from .model import B_MIN, LpplParams, PriceSeries, evaluate_batch, lppl_kernel_values
-from .solver import FitResult, LmConfig, exact_fit_floor, lm_fit, project_params
+from .solver import ERROR_TOL, FitResult, LmConfig, exact_fit_floor, lm_fit, project_params
 
 RANK_TOL = 1e-10
 RATE_TIE_BAND = 0.01  # rates within 1% count as a tie, broken toward more LM
+L_START = 5  # LM iteration cap of the first round
 MAX_L = 4096  # ceiling of the adaptive LM iteration cap
 
 
@@ -112,9 +113,9 @@ def update_L(
 
 @dataclass(frozen=True)
 class InterleaveConfig:
+    """Damping seeds of the first round, and the round cap (L caps each LM run)."""
+
     lm: LmConfig = LmConfig()
-    L: int = 5
-    adaptive_L: bool = True
     max_rounds: int = 200
 
 
@@ -144,7 +145,7 @@ def interleave_fit(
     error = report.error
     history = [error]
 
-    L, phase = max(1, config.L), "startup"
+    L, phase = L_START, "startup"
     total_iterations = 0
     total_restarts = 0
 
@@ -180,7 +181,7 @@ def interleave_fit(
         lm_res = lm_fit(
             series,
             incumbent,
-            replace(config.lm, max_iterations=L, mu_init=mu, mu_bar=mu_bar),
+            LmConfig(max_iterations=L, mu_init=mu, mu_bar=mu_bar),
             threads,
         )
         total_iterations += lm_res.iterations
@@ -193,7 +194,7 @@ def interleave_fit(
             incumbent = lm_res.params
             error = lm_res.error
             history.extend(lm_res.error_history[1:])
-        lm_stalled = lm_res.termination in ("converged", "mu-exhausted", "restart-cap")
+        lm_stalled = lm_res.termination in ("converged", "mu-exhausted")
 
         lin = solve_linear_subsystem(series, incumbent, threads)
         lin_improved = lin.status == "ok" and lin.error < error
@@ -214,11 +215,10 @@ def interleave_fit(
         # workable mu, which the carried damping state resumes next round.
         if (
             round_start_error > error > 0
-            and (round_start_error - error) / round_start_error < config.lm.error_tol
+            and (round_start_error - error) / round_start_error < ERROR_TOL
         ):
             return finish("converged")
 
-        if config.adaptive_L:
-            L, phase = update_L(L, phase, lm_res.iterations, dE_lm, dE_lin, round_ == 0)
+        L, phase = update_L(L, phase, lm_res.iterations, dE_lm, dE_lin, round_ == 0)
 
     return finish("iteration-cap")  # the round cap ran out while still improving

@@ -18,6 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import LpplParams, PriceSeries
+from .solver import exact_fit_floor
 
 # Floor on the regression slope taken as B: above model.B_MIN, so every seed
 # lies inside the box, while staying numerically negligible.
@@ -147,16 +148,20 @@ def propose_triples(
     residual of one exponential pre-fit, smoothed at 1, 2 and 4 times
     `half_width`. Each scan lists its consecutive same-kind triples with
     rho > 1 recent first, capped at `max_triples`; the scans follow in that
-    order and may repeat a triple. Selection is a heuristic stand-in for
-    manual inspection; `--triple` bypasses it.
+    order and may repeat a triple. The detrended scans are skipped when the
+    pre-fit is exact to rounding (`exact_fit_floor`): the residual's wiggles
+    are then rounding noise. Selection is a heuristic stand-in for manual
+    inspection; `--triple` bypasses it.
     """
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
     y = series.log_prices
     pre = exponential_prefit(series).params
     residual = y - (pre.A - pre.B * (pre.T - series.indices))
-    scans = [(y, half_width)] + [(_window_mean(residual, hw), hw)
-                                 for hw in (half_width, 2 * half_width, 4 * half_width)]
+    scans = [(y, half_width)]
+    if np.dot(series.weights, residual * residual) > exact_fit_floor(series):
+        scans += [(_window_mean(residual, hw), hw)
+                  for hw in (half_width, 2 * half_width, 4 * half_width)]
     triples: List[Tuple[int, int, int, str]] = []
     for values, hw in scans:
         scan = []

@@ -6,7 +6,9 @@ The start and every trial point are clipped to the feasibility box that
 `model.box` defines, so every point evaluated passes `LpplParams.validate`.
 When a step solve breaks down (singular system, non-finite step) or mu
 underflows to 0, the run restarts from the current iterate with mu set to a
-seed value mu_bar that is doubled on every restart up to a global cap.
+seed value mu_bar that is doubled on every restart up to MU_BAR_CAP; a
+failure at the cap ends the run, so a run restarts at most
+ceil(log2(MU_BAR_CAP / mu_bar)) times (37 from the default seed).
 
 A fit whose weighted error is at the rounding floor of the data (see
 `exact_fit_floor`) is exact: E >= 0, so it is a global minimum and the run
@@ -27,21 +29,27 @@ from .model import LpplParams, PriceSeries, box, evaluate_batch
 # mu step factors within a run: shrink on accept, grow on reject.
 MU_SHRINK = 1.0 / 3.0
 MU_GROW = 2.0
+MU_BAR_CAP = 1e8  # ceiling of the doubling restart seed mu_bar
+# Stopping tolerances: largest gradient entry, largest relative parameter
+# step, and relative E decrease over ERROR_TOL_WINDOW accepted steps.
+GRADIENT_TOL = 1e-12
+STEP_TOL = 1e-12
+ERROR_TOL = 1e-15
+ERROR_TOL_WINDOW = 3
 
 
 @dataclass(frozen=True)
 class LmConfig:
-    """Solver settings: damping seeds, iteration bound, and stopping tolerances."""
+    """Iteration bound and damping seeds of one run.
 
+    The damping seeds are fields, not constants, because the interleave
+    resumes each round from the damping that the previous round ended with,
+    which may be inf when that round's damping was exhausted.
+    """
+
+    max_iterations: int = 200
     mu_init: float = 1e-3
     mu_bar: float = 1e-3
-    mu_bar_cap: float = 1e8
-    max_iterations: int = 200
-    max_restarts: int = 60
-    gradient_tol: float = 1e-12
-    step_tol: float = 1e-12
-    error_tol: float = 1e-15  # relative E decrease over error_tol_window accepted steps
-    error_tol_window: int = 3
 
     def __post_init__(self):
         for f in fields(self):  # an int field takes an integer; a float field any real number
@@ -50,16 +58,12 @@ class LmConfig:
                           else (numbers.Real, "a number"))
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
-        if self.mu_init <= 0 or self.mu_bar <= 0:
-            raise ValueError("mu_init and mu_bar must be positive")
-        if self.mu_bar > self.mu_bar_cap:
-            raise ValueError("mu_bar must not exceed mu_bar_cap")
-        for name in ("max_iterations", "max_restarts", "error_tol_window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("gradient_tol", "step_tol", "error_tol"):
-            if not getattr(self, name) >= 0:  # NaN fails too
-                raise ValueError(f"{name} must be >= 0")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if not self.mu_init > 0:  # NaN fails too
+            raise ValueError(f"mu_init must be positive, got {self.mu_init!r}")
+        if not 0 < self.mu_bar <= MU_BAR_CAP:
+            raise ValueError(f"mu_bar must be in (0, {MU_BAR_CAP:g}], got {self.mu_bar!r}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ class FitResult:
     params: LpplParams
     error: float
     average_error: float
-    termination: str  # converged | iteration-cap | mu-exhausted | restart-cap
+    termination: str  # converged | iteration-cap | mu-exhausted
     iterations: int
     restarts: int
     wall_time: float
@@ -98,15 +102,15 @@ def exact_fit_floor(series: PriceSeries) -> float:
     return float(series.n * eps**2 * np.dot(series.weights, y * y))
 
 
-def restart_policy(mu_bar: float, mu_bar_cap: float):
+def restart_policy(mu_bar: float):
     """Next restart damping seed after a restart-triggering failure.
 
-    Returns (new_mu_bar, exhausted): mu_bar doubles up to the cap; if it was
-    already at the cap when the condition recurred, the run must terminate.
+    Returns (new_mu_bar, exhausted): mu_bar doubles up to MU_BAR_CAP; if it
+    was already at the cap when the condition recurred, the run must terminate.
     """
-    if mu_bar >= mu_bar_cap:
-        return mu_bar_cap, True
-    return min(2.0 * mu_bar, mu_bar_cap), False
+    if mu_bar >= MU_BAR_CAP:
+        return MU_BAR_CAP, True
+    return min(2.0 * mu_bar, MU_BAR_CAP), False
 
 
 def _solve_step(N: np.ndarray, g: np.ndarray, mu: float) -> Optional[np.ndarray]:
@@ -197,17 +201,15 @@ def lm_fit(
             return finish("converged")
         if iterations >= config.max_iterations:
             return finish("iteration-cap")
-        if np.max(np.abs(g)) < config.gradient_tol:
+        if np.max(np.abs(g)) < GRADIENT_TOL:
             return finish("converged")
 
         delta = _solve_step(N, g, mu) if 0.0 < mu < np.inf else None
         if delta is None:
-            mu_bar, exhausted = restart_policy(mu_bar, config.mu_bar_cap)
+            mu_bar, exhausted = restart_policy(mu_bar)
             if exhausted:
                 return finish("mu-exhausted")
             restarts += 1
-            if restarts >= config.max_restarts:
-                return finish("restart-cap")
             mu = mu_bar  # continue from the current iterate, not the original seed
             continue
 
@@ -221,12 +223,11 @@ def lm_fit(
             g, N = _normal_equations(jacobian(), w, report.residuals)
             history.append(error)
             mu *= MU_SHRINK
-            if step_scale < config.step_tol:
+            if step_scale < STEP_TOL:
                 return finish("converged")
-            k = config.error_tol_window
-            if len(history) > k:
-                prev = history[-1 - k]
-                if prev > 0 and (prev - error) / prev < config.error_tol:
+            if len(history) > ERROR_TOL_WINDOW:
+                prev = history[-1 - ERROR_TOL_WINDOW]
+                if prev > 0 and (prev - error) / prev < ERROR_TOL:
                     return finish("converged")
         else:
             mu *= MU_GROW

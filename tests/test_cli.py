@@ -5,9 +5,8 @@ import math
 
 import pytest
 
-from lpplfit.cli import EXIT_INPUT, EXIT_OK, _lm_config_from, _thresholds_from, build_parser, main
+from lpplfit.cli import EXIT_INPUT, EXIT_OK, _thresholds_from, build_parser, main
 from lpplfit.driver import ClassifyThresholds, fit_command
-from lpplfit.linear import InterleaveConfig
 from lpplfit.seeds import propose_triples
 from lpplfit.solver import LmConfig
 
@@ -148,8 +147,7 @@ def test_flag_defaults_are_the_library_defaults():
         propose_triples).parameters["half_width"].default
     assert args.interleave == fit_defaults["interleave"]
     assert (args.jobs, args.threads) == (fit_defaults["jobs"], fit_defaults["threads"])
-    assert (args.L, args.adaptive_L) == (InterleaveConfig().L, InterleaveConfig().adaptive_L)
-    assert _lm_config_from(args) == LmConfig()
+    assert args.max_iter == LmConfig().max_iterations
     for ns in (args, parser.parse_args(["classify", "r.json"])):
         assert _thresholds_from(ns) == fit_defaults["thresholds"] == ClassifyThresholds()
 
@@ -179,22 +177,14 @@ def test_fit_bad_column_is_input_error(tmp_path, capsys):
     assert main(["fit", str(trace), "--column", "volume"]) == EXIT_INPUT
 
 
-def test_fit_bad_config_key_rejected(tmp_path, capsys):
-    trace = run_synth(tmp_path)
-    cfg = tmp_path / "solver.json"
-    cfg.write_text('{"max_iters": 5}')
-    assert main(["fit", str(trace), "--column", "price",
-                 "--config", str(cfg)]) == EXIT_INPUT
-    assert "unknown solver config keys" in capsys.readouterr().err
-
-
-def test_fit_config_file_applied(tmp_path, capsys):
-    trace = run_synth(tmp_path)
-    cfg = tmp_path / "solver.json"
-    cfg.write_text('{"max_iterations": 30, "mu_init": 0.01}')
-    assert main(["fit", str(trace), "--column", "price", "--auto-triples", "0",
-                 "--config", str(cfg)]) == EXIT_OK
-    json.loads(capsys.readouterr().out)
+@pytest.mark.parametrize("flags", [["--config", "x.json"], ["--L", "5"], ["--adaptive-L", "off"]],
+                         ids=lambda flags: flags[0])
+def test_removed_solver_flags_are_usage_errors(capsys, flags):
+    # the damping seeds, tolerances and the first L are constants, not settings
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "x.csv", *flags])
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_fit_timings_flag(tmp_path, capsys):
@@ -229,62 +219,39 @@ BEST = {"params": {"A": 5.0, "B": 0.02, "T": 1100.0, "m": 0.68, "C": 0.05,
         "iterations": 10, "restarts": 0}
 
 
-@pytest.mark.parametrize("command, text", [
-    pytest.param("classify", '{"best": {}}', id="classify-no-version"),
-    pytest.param("classify", "[1, 2]", id="classify-list"),
-    pytest.param("classify", '{"schema_version": 1, "best": {}, "baseline_average_error": 0.01}',
+@pytest.mark.parametrize("text", [
+    pytest.param('{"best": {}}', id="classify-no-version"),
+    pytest.param("[1, 2]", id="classify-list"),
+    pytest.param('{"schema_version": 1, "best": {}, "baseline_average_error": 0.01}',
                  id="classify-empty-best"),
-    pytest.param("classify", json.dumps({"schema_version": 1, "best": {**BEST, "params": [1, 2]},
-                                         "baseline_average_error": 0.01}),
+    pytest.param(json.dumps({"schema_version": 1, "best": {**BEST, "params": [1, 2]},
+                             "baseline_average_error": 0.01}),
                  id="classify-params-list"),
-    pytest.param("classify", json.dumps({"schema_version": 1, "best": {**BEST, "error": "low"},
-                                         "baseline_average_error": 0.01}),
+    pytest.param(json.dumps({"schema_version": 1, "best": {**BEST, "error": "low"},
+                             "baseline_average_error": 0.01}),
                  id="classify-error-string"),
-    pytest.param("classify", json.dumps({"schema_version": 2, "best": BEST,
-                                         "baseline_average_error": 0.01}),
+    pytest.param(json.dumps({"schema_version": 2, "best": BEST,
+                             "baseline_average_error": 0.01}),
                  id="classify-other-version"),
-    pytest.param("config", "5", id="config-number"),
-    pytest.param("config", '{"max_iterations": "30"}', id="config-int-as-string"),
-    pytest.param("config", '{"max_iterations": 30.5}', id="config-int-as-float"),
-    pytest.param("config", '{"mu_init": null}', id="config-null"),
-    pytest.param("config", '{"gradient_tol": true}', id="config-bool"),
-    pytest.param("classify", json.dumps({"schema_version": 1,
-                                         "best": {**BEST, "params": {**BEST["params"],
-                                                                     "m": float("nan")}},
-                                         "baseline_average_error": 0.01}),
+    pytest.param(json.dumps({"schema_version": 1,
+                             "best": {**BEST, "params": {**BEST["params"], "m": float("nan")}},
+                             "baseline_average_error": 0.01}),
                  id="classify-nan-param"),
-    pytest.param("classify", json.dumps({"schema_version": 1, "best": BEST,
-                                         "baseline_average_error": float("inf")}),
+    pytest.param(json.dumps({"schema_version": 1, "best": BEST,
+                             "baseline_average_error": float("inf")}),
                  id="classify-infinite-baseline"),
-    pytest.param("config", '{"mu_init": NaN, "mu_bar": NaN}', id="config-nan"),
-    pytest.param("config", '{"mu_init": 1e400}', id="config-overflow"),
-    pytest.param("classify", json.dumps({"schema_version": 1, "best": BEST,
-                                         "baseline_average_error": 10**400}),
+    # a float literal that overflows to inf: the only case that meets parse_float
+    pytest.param('{"schema_version": 1, "best": %s, "baseline_average_error": 1e400}'
+                 % json.dumps(BEST), id="classify-float-overflow"),
+    pytest.param(json.dumps({"schema_version": 1, "best": BEST,
+                             "baseline_average_error": 10**400}),
                  id="classify-int-overflow"),
 ])
-def test_malformed_json_is_input_error(tmp_path, capsys, command, text):
+def test_malformed_json_is_input_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    if command == "classify":
-        argv = ["classify", str(bad)]
-    else:
-        argv = ["fit", str(run_synth(tmp_path)), "--column", "price", "--config", str(bad)]
-    assert main(argv) == EXIT_INPUT
+    assert main(["classify", str(bad)]) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("config", [
-    {"error_tol_window": -5}, {"error_tol_window": 0}, {"max_restarts": 0},
-    {"gradient_tol": -1.0}, {"step_tol": -1e-12}, {"error_tol": -1e-15},
-], ids=lambda config: "{}={}".format(*next(iter(config.items()))))
-def test_out_of_range_config_is_input_error(tmp_path, capsys, config):
-    # a negative error_tol_window once indexed past the error history in every
-    # task (exit 3), and 0 or a negative tolerance changed the stops silently
-    cfg = tmp_path / "solver.json"
-    cfg.write_text(json.dumps(config))
-    assert main(["fit", str(run_synth(tmp_path)), "--column", "price",
-                 "--config", str(cfg)]) == EXIT_INPUT
-    assert next(iter(config)) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["fit", "classify"])

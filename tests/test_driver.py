@@ -125,6 +125,17 @@ class TestBuildSeedSet:
         assert len(found) > 1
         assert calls == {"propose_triples": 1, "exponential_prefit": len(found) + 1}
 
+    @pytest.mark.parametrize("log_prices", [
+        np.linspace(0.0, 1.0, 200),
+        np.linspace(0.0, 1.0, 1000),
+        5.0 + 0.005 * np.arange(1, 1001),
+    ], ids=["linspace-200", "linspace-1000", "line-1000"])
+    def test_exact_exponential_gets_no_triple_seeds(self, log_prices):
+        # the pre-fit is exact to rounding, so the detrended scans would read
+        # rounding noise: only the exponential seed is left
+        series = PriceSeries(log_prices=log_prices, weights=np.ones(log_prices.shape[0]))
+        assert len(build_seed_set(series, auto_triples=8)) == 1
+
     def test_frozen_suite_seed_sets_are_pinned(self):
         # every seed, bit for bit and in order, over the frozen suite under
         # two weight schemes: any change to the scans, the pre-fit or the

@@ -142,7 +142,7 @@ class TestUpdateL:
     def test_MAX_L_ceiling(self):
         assert update_L(3000, "startup", 3000, 1e6, 1.0, first=False) == (MAX_L, "startup")
         assert update_L(MAX_L, "regime", MAX_L, 1e6, 1.0, first=False) == (MAX_L, "regime")
-        # a --L above the ceiling is clamped on a handover too
+        # an L above the ceiling is clamped on a handover too
         assert update_L(10_000, "startup", 10_000, 1.0, 4.0, first=True) == (MAX_L, "regime")
 
 
@@ -165,7 +165,7 @@ class TestInterleaveFit:
         h = np.array(res.error_history)
         assert np.all(np.diff(h) < 0)
         assert res.termination in (
-            "converged", "mu-exhausted", "restart-cap", "iteration-cap"
+            "converged", "mu-exhausted", "iteration-cap"
         )
 
     def test_not_worse_than_plain_lm(self):
@@ -175,15 +175,6 @@ class TestInterleaveFit:
         plain = lm_fit(series, start, LmConfig(max_iterations=400))
         mixed = interleave_fit(series, start, InterleaveConfig(lm=LmConfig(max_iterations=400)))
         assert mixed.error <= plain.error * (1 + 1e-9)
-
-    def test_fixed_L_mode(self):
-        series = noiseless_base(n=400)
-        start = LpplParams(*(v * 1.02 for v in PRESETS["base"].params.as_array()))
-        res = interleave_fit(series, start, InterleaveConfig(L=3, adaptive_L=False))
-        # a hard cap of 3 LM iterations per round converges slowly; just check
-        # L stays fixed and the fit still makes substantial progress
-        start_error = evaluate_batch(start, series)[0].error
-        assert res.error < 1e-3 * start_error
 
     def test_deterministic_under_real_clock(self):
         # the default cost model prices rounds in iterations, not seconds, so

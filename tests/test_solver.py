@@ -8,6 +8,7 @@ from lpplfit import model, solver
 from lpplfit.linear import solve_linear_subsystem
 from lpplfit.model import B_MIN, M_MAX, M_MIN, T_GAP, LpplParams, PriceSeries, lppl_values
 from lpplfit.solver import (
+    MU_BAR_CAP,
     FitResult,
     LmConfig,
     exact_fit_floor,
@@ -24,28 +25,22 @@ def perturbed(params, factor=1.01):
 
 class TestConfigAndPolicy:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LmConfig(mu_init=0.0)
-        with pytest.raises(ValueError):
-            LmConfig(mu_bar=1e9, mu_bar_cap=1e8)
-        for bad in ({"max_iterations": 0}, {"max_restarts": 0}, {"error_tol_window": 0},
-                    {"error_tol_window": -5}, {"gradient_tol": -1e-12}, {"step_tol": -1.0},
-                    {"error_tol": float("nan")}, {"max_iterations": 2.5},
-                    {"max_iterations": True}, {"max_restarts": 3.0}, {"mu_init": True},
-                    {"step_tol": "0"}, {"mu_bar_cap": None}):
+        for bad in ({"max_iterations": 0}, {"max_iterations": -5}, {"max_iterations": 2.5},
+                    {"max_iterations": True}, {"mu_init": 0.0}, {"mu_init": float("nan")},
+                    {"mu_init": True}, {"mu_init": None}, {"mu_bar": 0.0},
+                    {"mu_bar": float("nan")}, {"mu_bar": 2 * MU_BAR_CAP}, {"mu_bar": "0"}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 LmConfig(**bad)
-        # an integer is a real number, and an infinite mu_init is carried over
-        # from a run that ended with its damping exhausted
-        LmConfig(mu_init=float("inf"), gradient_tol=0, max_iterations=np.int64(5))
-        LmConfig(gradient_tol=0.0, step_tol=0.0, error_tol=0.0, error_tol_window=1,
-                 max_restarts=1)
+        # an integer is a real number, the cap itself is a valid seed, and an
+        # infinite mu_init is carried over from an interleave round that ended
+        # with its damping exhausted
+        LmConfig(mu_init=float("inf"), mu_bar=MU_BAR_CAP, max_iterations=np.int64(5))
 
     def test_restart_policy_doubles_to_cap(self):
-        mu_bar, cap = 1e-3, 1e8
+        mu_bar, cap = 1e-3, MU_BAR_CAP
         seen = []
         for _ in range(50):
-            mu_bar, exhausted = restart_policy(mu_bar, cap)
+            mu_bar, exhausted = restart_policy(mu_bar)
             seen.append(mu_bar)
             if exhausted:
                 break
@@ -209,6 +204,21 @@ class TestLmFit:
                          LmConfig(mu_init=1e308, max_iterations=20))
         assert res.restarts >= 1
         assert res.iterations > 0
+
+    @pytest.mark.parametrize("config, restarts", [
+        (LmConfig(), 37),  # ceil(log2(1e8 / 1e-3))
+        (LmConfig(mu_init=1e-12, mu_bar=1e-12), 67),  # ceil(log2(1e8 / 1e-12))
+    ], ids=["default", "mu-bar-1e-12"])
+    def test_mu_bar_cap_bounds_restarts(self, monkeypatch, config, restarts):
+        # every step solve fails: mu_bar doubles on each restart until the
+        # cap, and the next failure ends the run
+        monkeypatch.setattr(solver, "_solve_step", lambda N, g, mu: None)
+        spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=300, seed=1)
+        series = generate_trace(spec)
+        res = lm_fit(series, perturbed(spec.params, 1.05), config)
+        assert res.termination == "mu-exhausted"
+        assert (res.restarts, res.iterations) == (restarts, 0)
+        assert res.mu_bar_final == MU_BAR_CAP
 
     def test_exposes_damping_state(self):
         spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=300, seed=1)
