@@ -29,7 +29,7 @@ from .seeds import (
     triple_to_seed,
 )
 from .synth import PRESETS, SynthSpec, generate_trace, standard_suite, write_trace
-from .ingest import IngestError, RawSeries, load_csv, to_series
+from .ingest import IngestError, RawSeries, load_csv
 from .driver import (
     ClassifyThresholds,
     RunReport,

@@ -15,6 +15,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .driver import (
     DEFAULT_AUTO_TRIPLES,
     REPORT_SCHEMA_VERSION,
@@ -26,11 +28,10 @@ from .driver import (
     report_to_json,
     write_plot_csv,
 )
-from .ingest import IngestError, load_csv, to_series
-from .linear import InterleaveConfig
+from .ingest import IngestError, load_csv
 from .model import BLOCK, PARAM_NAMES, LpplParams
 from .seeds import DEFAULT_EXTREMUM_HALF_WIDTH
-from .solver import FitResult, LmConfig
+from .solver import FitResult
 from .synth import PRESETS, SynthSpec, write_trace
 from .weights import parse_scheme
 
@@ -121,10 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="max auto-detected triple seeds (0 disables)")
     fit.add_argument("--extremum-window", type=int, default=DEFAULT_EXTREMUM_HALF_WIDTH,
                      help="half-width of the extremum detection window")
-    fit.add_argument("--interleave", type=_on_off, default=True, metavar="on|off")
-    fit.add_argument("--max-iter", type=int, default=LmConfig.max_iterations,
-                     help="LM iteration cap; only with --interleave off, since the "
-                          "interleave caps each LM run at its round's adaptive L")
+    fit.add_argument("--interleave", type=_on_off, default=True, metavar="on|off",
+                     help="alternate adaptively capped LM runs with the linear (A, B, C) "
+                          "solve; off: one LM run of at most 200 iterations per task")
     _add_threshold_flags(fit)
     fit.add_argument("--timings", action="store_true",
                      help="include wall-clock timings in the report (breaks byte-determinism)")
@@ -183,24 +183,22 @@ def cmd_fit(args) -> int:
             raise IngestError(f"cannot write {path}: {parent} is not a writable directory")
     raw = load_csv(args.data, column=args.column)
     schemes = [parse_scheme(s) for s in (args.weights or ["uniform"])]
-    series = to_series(raw)
-    config = InterleaveConfig(lm=LmConfig(max_iterations=args.max_iter))
+    log_prices = np.log(raw.closes)
     jobs = args.jobs if args.jobs >= 1 else max(1, os.cpu_count() or 1)
     report = fit_command(
-        series.log_prices,
+        log_prices,
         schemes,
         manual_triples=args.triple,
         auto_triples=args.auto_triples,
         extremum_half_width=args.extremum_window,
         interleave=args.interleave,
-        config=config,
         jobs=jobs,
         threads=max(1, args.threads),
         thresholds=_thresholds_from(args),
         collect_timings=args.timings,
     )
     if args.plot_csv:  # first, so a failed write leaves no report behind
-        write_plot_csv(args.plot_csv, series.log_prices, report.best.result.params)
+        write_plot_csv(args.plot_csv, log_prices, report.best.result.params)
     if args.format == "json":
         _emit(report_to_json(report), args.out)
     else:

@@ -22,7 +22,7 @@ from .linear import InterleaveConfig, interleave_fit
 from .model import LpplParams, PriceSeries, evaluate_batch, lppl_values
 from .seeds import (DEFAULT_EXTREMUM_HALF_WIDTH, InitSeed, SeedRejected, exponential_prefit,
                     propose_triples, triple_to_seed)
-from .solver import FitResult, lm_fit
+from .solver import FitResult, LmConfig, lm_fit
 from .synth import PRESETS, SynthSpec, generate_trace
 from .weights import WeightScheme, build_weights
 
@@ -149,6 +149,8 @@ def fit_command(
     deterministic, so running them across `jobs` workers cannot change any
     individual result, only wall time. Rank ties break by task order so
     reports are stable. The baseline is the best scheme's exponential seed.
+    `config` configures the interleave alone: with `interleave=False` each
+    task is one `lm_fit` of at most `LmConfig`'s 200 iterations.
     """
     n = log_prices.shape[0]
     series_of = {scheme: PriceSeries(log_prices=log_prices, weights=build_weights(scheme, n))
@@ -164,7 +166,7 @@ def fit_command(
         try:
             if interleave:
                 return interleave_fit(series_of[scheme], seed.params, config, threads)
-            return lm_fit(series_of[scheme], seed.params, config.lm, threads)
+            return lm_fit(series_of[scheme], seed.params, threads=threads)
         except Exception as exc:
             return exc
 
@@ -298,7 +300,6 @@ def bench_command(
             times.append(time.perf_counter() - t0)
         row = {"threads": threads, "evaluate_median_s": statistics.median(times)}
         if include_fit:
-            from .solver import LmConfig
             t0 = time.perf_counter()
             lm_fit(series, start, LmConfig(max_iterations=10), threads)
             row["lm_fit_10iter_s"] = time.perf_counter() - t0

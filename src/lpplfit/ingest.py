@@ -15,9 +15,6 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .model import PriceSeries
-from .weights import WeightScheme, build_weights
-
 
 class IngestError(ValueError):
     """Unreadable, empty, or invalid price input."""
@@ -61,21 +58,18 @@ def _resolve_column(header: Optional[List[str]], spec: Union[str, int], width: i
     return lowered.index(spec.strip().lower())
 
 
-def load_csv(
-    path,
-    column: Union[str, int] = "close",
-    date_column: Union[str, int, None] = None,
-) -> RawSeries:
+def load_csv(path, column: Union[str, int] = "close") -> RawSeries:
     """Read a comma-separated price file; the close column by name or 0-based position.
 
-    A header row is detected by the close column failing to parse as a number.
-    Rows with unparsable or non-positive closes abort with the 1-based file
-    row number in the message.
+    A header row is detected by the close column failing to parse as a number;
+    a header column named `date` is read as the dates. A UTF-8 byte-order mark
+    is skipped. Rows with unparsable or non-positive closes, or without their
+    date, abort with the 1-based file row number in the message.
     """
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row and any(f.strip() for f in row)]
     if not rows:
         raise IngestError(f"empty file: {path}")
@@ -92,13 +86,8 @@ def load_csv(
         raise IngestError(f"no data rows in {path}")
 
     col = _resolve_column(header, column, len(rows[0]))
-    date_col = None
-    if date_column is not None:
-        date_col = _resolve_column(header, date_column, len(rows[0]))
-    elif header is not None:
-        lowered = [h.strip().lower() for h in header]
-        if "date" in lowered:
-            date_col = lowered.index("date")
+    lowered = [h.strip().lower() for h in header or []]
+    date_col = lowered.index("date") if "date" in lowered else None
 
     closes = []
     dates = [] if date_col is not None else None
@@ -112,14 +101,9 @@ def load_csv(
             raise IngestError(f"{path}: row {rownum}: non-positive close {value}")
         closes.append(value)
         if dates is not None:
+            if date_col >= len(row):
+                raise IngestError(f"{path}: row {rownum}: no date in {row!r}")
             dates.append(row[date_col].strip())
 
     return RawSeries(closes=np.array(closes), dates=dates, source=str(path))
 
-
-def to_series(raw: RawSeries, scheme: WeightScheme = WeightScheme.uniform()) -> PriceSeries:
-    """Log transform with the scheme's weight vector attached."""
-    return PriceSeries(
-        log_prices=np.log(raw.closes),
-        weights=build_weights(scheme, raw.n),
-    )

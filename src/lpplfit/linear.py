@@ -23,7 +23,8 @@ import numpy as np
 import scipy.linalg
 
 from .model import B_MIN, LpplParams, PriceSeries, evaluate_batch, lppl_kernel_values
-from .solver import ERROR_TOL, FitResult, LmConfig, exact_fit_floor, lm_fit, project_params
+from .solver import (ERROR_TOL, FitResult, LmConfig, check_fields, exact_fit_floor, lm_fit,
+                     project_params)
 
 RANK_TOL = 1e-10
 RATE_TIE_BAND = 0.01  # rates within 1% count as a tie, broken toward more LM
@@ -113,10 +114,12 @@ def update_L(
 
 @dataclass(frozen=True)
 class InterleaveConfig:
-    """Damping seeds of the first round, and the round cap (L caps each LM run)."""
+    """The round cap; each round's LM run is capped at that round's adaptive L."""
 
-    lm: LmConfig = LmConfig()
     max_rounds: int = 200
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 def interleave_fit(
@@ -130,7 +133,8 @@ def interleave_fit(
     The linear result replaces the incumbent only on strict error decrease,
     so the accepted-error sequence is strictly decreasing and the loop
     terminates: it stops once the linear solve fails to improve and LM can
-    make no further progress (converged or damping exhausted).
+    make no further progress (converged or damping exhausted). The first
+    round, and each round after a linear improvement, starts at `LmConfig`'s damping.
 
     Before the first round the linear sub-system is solved at the projected
     seed. If that fit is exact to rounding (`exact_fit_floor`), it is a global
@@ -171,8 +175,8 @@ def interleave_fit(
     if error <= floor:
         return finish("converged")
 
-    mu = config.lm.mu_init
-    mu_bar = config.lm.mu_bar
+    mu = LmConfig.mu_init
+    mu_bar = LmConfig.mu_bar
     for round_ in range(config.max_rounds):
         round_start_error = error
         # Resume the damping state from the previous round: a fresh mu_init
@@ -186,7 +190,7 @@ def interleave_fit(
         )
         total_iterations += lm_res.iterations
         total_restarts += lm_res.restarts
-        mu = lm_res.mu_final if lm_res.mu_final > 0 else config.lm.mu_init
+        mu = lm_res.mu_final if lm_res.mu_final > 0 else LmConfig.mu_init
         mu_bar = lm_res.mu_bar_final
 
         dE_lm = error - lm_res.error
@@ -203,7 +207,7 @@ def interleave_fit(
             incumbent = lin.params
             error = lin.error
             history.append(error)
-            mu = config.lm.mu_init  # new basin; damping history no longer applies
+            mu = LmConfig.mu_init  # new basin; damping history no longer applies
 
         if not lin_improved and lm_stalled:
             return finish(lm_res.termination)

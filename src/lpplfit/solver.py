@@ -38,6 +38,18 @@ ERROR_TOL = 1e-15
 ERROR_TOL_WINDOW = 3
 
 
+def check_fields(config) -> None:
+    """A config's int fields take an integer >= 1, its float fields any real number."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind, what = ((numbers.Integral, "an integer") if isinstance(f.default, int)
+                      else (numbers.Real, "a number"))
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        if kind is numbers.Integral and value < 1:
+            raise ValueError(f"{f.name} must be >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LmConfig:
     """Iteration bound and damping seeds of one run.
@@ -52,14 +64,7 @@ class LmConfig:
     mu_bar: float = 1e-3
 
     def __post_init__(self):
-        for f in fields(self):  # an int field takes an integer; a float field any real number
-            value = getattr(self, f.name)
-            kind, what = ((numbers.Integral, "an integer") if isinstance(f.default, int)
-                          else (numbers.Real, "a number"))
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{f.name} must be {what}, got {value!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        check_fields(self)
         if not self.mu_init > 0:  # NaN fails too
             raise ValueError(f"mu_init must be positive, got {self.mu_init!r}")
         if not 0 < self.mu_bar <= MU_BAR_CAP:

@@ -8,7 +8,6 @@ import pytest
 from lpplfit.cli import EXIT_INPUT, EXIT_OK, _thresholds_from, build_parser, main
 from lpplfit.driver import ClassifyThresholds, fit_command
 from lpplfit.seeds import propose_triples
-from lpplfit.solver import LmConfig
 
 
 def run_synth(tmp_path, name="trace.csv", *extra):
@@ -20,7 +19,7 @@ def run_synth(tmp_path, name="trace.csv", *extra):
     return out
 
 
-FAST_FIT = ["--auto-triples", "2", "--max-iter", "60"]
+FAST_FIT = ["--auto-triples", "2"]
 
 
 def test_synth_writes_trace_and_sidecar(tmp_path):
@@ -147,7 +146,6 @@ def test_flag_defaults_are_the_library_defaults():
         propose_triples).parameters["half_width"].default
     assert args.interleave == fit_defaults["interleave"]
     assert (args.jobs, args.threads) == (fit_defaults["jobs"], fit_defaults["threads"])
-    assert args.max_iter == LmConfig().max_iterations
     for ns in (args, parser.parse_args(["classify", "r.json"])):
         assert _thresholds_from(ns) == fit_defaults["thresholds"] == ClassifyThresholds()
 
@@ -177,10 +175,27 @@ def test_fit_bad_column_is_input_error(tmp_path, capsys):
     assert main(["fit", str(trace), "--column", "volume"]) == EXIT_INPUT
 
 
-@pytest.mark.parametrize("flags", [["--config", "x.json"], ["--L", "5"], ["--adaptive-L", "off"]],
-                         ids=lambda flags: flags[0])
+def test_fit_row_without_its_date_is_input_error(tmp_path, capsys):
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("close,date\n10,2020-01-02\n11\n12,2020-01-04\n")
+    assert main(["fit", str(ragged)]) == EXIT_INPUT
+    assert "row 3" in capsys.readouterr().err
+
+
+def test_fit_reads_a_csv_with_a_byte_order_mark(tmp_path, capsys):
+    # spreadsheet programs save UTF-8 CSVs with a BOM ahead of the header
+    prices = [line.split(",")[2] for line in run_synth(tmp_path).read_text().splitlines()[1:]]
+    bom = tmp_path / "bom.csv"
+    bom.write_text("close\n" + "\n".join(prices) + "\n", encoding="utf-8-sig")
+    assert main(["fit", str(bom), *FAST_FIT]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["n"] == 400
+
+
+@pytest.mark.parametrize("flags", [["--config", "x.json"], ["--L", "5"], ["--adaptive-L", "off"],
+                                   ["--max-iter", "60"]], ids=lambda flags: flags[0])
 def test_removed_solver_flags_are_usage_errors(capsys, flags):
-    # the damping seeds, tolerances and the first L are constants, not settings
+    # the damping seeds, tolerances and the first L are constants, not settings,
+    # and the interleave caps each LM run at its round's adaptive L
     with pytest.raises(SystemExit) as exc:
         main(["fit", "x.csv", *flags])
     assert exc.value.code == EXIT_INPUT
@@ -294,7 +309,7 @@ def test_bench_smoke(tmp_path):
 def test_triple_argument_parsing(tmp_path, capsys):
     trace = run_synth(tmp_path, "long.csv", "--n", "1000")
     assert main(["fit", str(trace), "--column", "price", "--auto-triples", "0",
-                 "--max-iter", "60", "--triple", "342,723,912,peak"]) == EXIT_OK
+                 "--triple", "342,723,912,peak"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert any(f["seed"] == "triple(342,723,912,peak)" for f in report["fits"])
 

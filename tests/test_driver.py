@@ -18,7 +18,7 @@ from lpplfit.driver import (
     report_to_json,
 )
 from lpplfit.model import LpplParams, PriceSeries
-from lpplfit.solver import FitResult, LmConfig
+from lpplfit.solver import FitResult, lm_fit
 from lpplfit.linear import InterleaveConfig
 from lpplfit.synth import PRESETS, SynthSpec, generate_log_prices, generate_trace, standard_suite
 from lpplfit.weights import WeightScheme, build_weights
@@ -170,7 +170,7 @@ class TestBuildSeedSet:
 
 
 def quick_config():
-    return InterleaveConfig(lm=LmConfig(max_iterations=60), max_rounds=30)
+    return InterleaveConfig(max_rounds=30)
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +230,17 @@ class TestFitCommand:
                              config=quick_config(), collect_timings=True)
         d = report_to_dict(report)
         assert d["timings"] and all("wall_time" in row for row in d["timings"])
+
+    def test_plain_lm_task_is_lm_fit_at_its_defaults(self, prices):
+        # with the interleave off, `config` is not read: each task is one
+        # lm_fit from its seed at LmConfig()'s iteration cap
+        series = PriceSeries(prices, build_weights(WeightScheme.uniform(), prices.size))
+        report = fit_command(prices, [WeightScheme.uniform()], auto_triples=2,
+                             interleave=False, config=InterleaveConfig(max_rounds=1))
+        assert len(report.fits) > 1
+        for rf in report.fits:
+            plain = lm_fit(series, rf.seed.params)
+            assert (rf.result.error, rf.result.iterations) == (plain.error, plain.iterations)
 
     def test_exponential_trace_not_a_bubble(self):
         spec = SynthSpec(params=PRESETS["exponential"].params, sigma=0.05, n=1000, seed=2)

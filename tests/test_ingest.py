@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from lpplfit.ingest import IngestError, RawSeries, load_csv, to_series
-from lpplfit.weights import WeightScheme
+from lpplfit.ingest import IngestError, RawSeries, load_csv
+from lpplfit.model import PriceSeries
 
 
-def write(tmp_path, text, name="prices.csv"):
+def write(tmp_path, text, name="prices.csv", encoding="utf-8"):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding=encoding)
     return p
 
 
@@ -74,17 +74,27 @@ def test_raw_series_validation():
         RawSeries(closes=np.array([1.0, np.nan]))
 
 
-def test_to_series_log_transform_and_weights():
-    raw = RawSeries(closes=np.exp(np.linspace(0, 1, 10)))
-    series = to_series(raw, WeightScheme.step(4, 10))
-    np.testing.assert_allclose(series.log_prices, np.linspace(0, 1, 10), rtol=1e-15)
-    np.testing.assert_array_equal(series.weights[:3], 0)
-    np.testing.assert_array_equal(series.weights[3:], 1)
-
-
 def test_trading_period_indices_ignore_calendar_gaps(tmp_path):
     # a weekend gap between rows still advances the index by exactly one
     p = write(tmp_path, "date,close\n2020-01-03,10\n2020-01-06,11\n" * 1)
     raw = load_csv(p)
-    series = to_series(raw)
+    series = PriceSeries(np.log(raw.closes), np.ones(raw.n))
     np.testing.assert_array_equal(series.indices, [1, 2])
+
+
+def test_row_without_its_date_reports_file_row_number(tmp_path):
+    # the date column follows the close column, and row 3 stops after its close
+    p = write(tmp_path, "close,date\n10,2020-01-02\n11\n12,2020-01-04\n")
+    with pytest.raises(IngestError, match="row 3"):
+        load_csv(p)
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheet programs save UTF-8 CSVs with a BOM ahead of the first field
+    p = write(tmp_path, "date,close\n2020-01-02,10\n2020-01-03,11\n", encoding="utf-8-sig")
+    raw = load_csv(p)
+    np.testing.assert_array_equal(raw.closes, [10.0, 11.0])
+    assert raw.dates == ["2020-01-02", "2020-01-03"]
+    # without a header, the first close is data, not a header named after it
+    p = write(tmp_path, "10\n11\n12\n", name="bare.csv", encoding="utf-8-sig")
+    np.testing.assert_array_equal(load_csv(p, column=0).closes, [10.0, 11.0, 12.0])

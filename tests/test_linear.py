@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -173,7 +175,7 @@ class TestInterleaveFit:
         series = generate_trace(spec)
         start = LpplParams(*(v * 1.05 for v in spec.params.as_array()))
         plain = lm_fit(series, start, LmConfig(max_iterations=400))
-        mixed = interleave_fit(series, start, InterleaveConfig(lm=LmConfig(max_iterations=400)))
+        mixed = interleave_fit(series, start)
         assert mixed.error <= plain.error * (1 + 1e-9)
 
     def test_deterministic_under_real_clock(self):
@@ -202,3 +204,16 @@ class TestInterleaveFit:
         series = generate_trace(spec)
         interleave_fit(series, exponential_prefit(series).params, InterleaveConfig(max_rounds=3))
         assert caps == [5, 4, 5]
+
+
+class TestInterleaveConfig:
+    def test_round_cap_is_the_only_setting(self):
+        # each round's LM cap is its adaptive L, and its damping starts from
+        # LmConfig's, so the interleave has no LM settings of its own
+        assert tuple(f.name for f in dataclasses.fields(InterleaveConfig)) == ("max_rounds",)
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True, None, "3"])
+    def test_round_cap_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ValueError, match="max_rounds"):
+            InterleaveConfig(max_rounds=bad)
+        InterleaveConfig(max_rounds=np.int64(1))  # any integer type will do
