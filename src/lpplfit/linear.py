@@ -16,7 +16,7 @@ the objective.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -24,7 +24,7 @@ import scipy.linalg
 
 from .model import B_MIN, LpplParams, PriceSeries, evaluate_batch, lppl_kernel_values
 from .solver import (ERROR_TOL, FitResult, LmConfig, check_fields, exact_fit_floor, lm_fit,
-                     project_params)
+                     normal_equations, project_params)
 
 RANK_TOL = 1e-10
 RATE_TIE_BAND = 0.01  # rates within 1% count as a tie, broken toward more LM
@@ -43,6 +43,8 @@ class LinearSolveResult:
     C: float = np.nan
     error: float = np.nan
     params: Optional[LpplParams] = None
+    # evaluate_batch's (report, Jacobian closure) at params, for the next LM run
+    evaluation: tuple = field(default=(), compare=False, repr=False)
 
 
 def solve_linear_subsystem(
@@ -78,10 +80,9 @@ def solve_linear_subsystem(
 
     C = gamma / beta
     params = fixed.replace(A=A, B=beta, C=C)
-    report, _ = evaluate_batch(params, series, threads, jacobian=False)
-    return LinearSolveResult(
-        status="ok", A=A, beta=beta, gamma=gamma, C=C, error=report.error, params=params
-    )
+    report, jacobian = evaluate_batch(params, series, threads, jacobian=False)
+    return LinearSolveResult(status="ok", A=A, beta=beta, gamma=gamma, C=C,
+                             error=report.error, params=params, evaluation=(report, jacobian))
 
 
 def update_L(
@@ -140,12 +141,16 @@ def interleave_fit(
     seed. If that fit is exact to rounding (`exact_fit_floor`), it is a global
     minimum and is returned as converged with no LM iterations; otherwise it
     is discarded and the rounds start from the projected seed itself.
+
+    No round's LM run evaluates its start: it is handed E and (g, N) there,
+    from the seed's evaluation, the linear solve's or the last LM run's. A
+    solve at the point where the last one failed is skipped: it would fail.
     """
     t_start = time.perf_counter()
     n = series.n
     d = series.degrees_of_freedom
     incumbent = project_params(seed, n)
-    report, _ = evaluate_batch(incumbent, series, threads, jacobian=False)
+    report, jacobian = evaluate_batch(incumbent, series, threads, jacobian=False)
     error = report.error
     history = [error]
 
@@ -175,19 +180,18 @@ def interleave_fit(
     if error <= floor:
         return finish("converged")
 
+    # E and (g, N) at the incumbent, handed to the next round's LM run
+    state = error, normal_equations(jacobian(), series.weights, report.residuals)
     mu = LmConfig.mu_init
     mu_bar = LmConfig.mu_bar
+    lin_improved = False
     for round_ in range(config.max_rounds):
         round_start_error = error
         # Resume the damping state from the previous round: a fresh mu_init
         # every round would make a stalled L-capped invocation look final
         # even though a larger mu (or a restart) would still make progress.
-        lm_res = lm_fit(
-            series,
-            incumbent,
-            LmConfig(max_iterations=L, mu_init=mu, mu_bar=mu_bar),
-            threads,
-        )
+        lm_res = lm_fit(series, incumbent, LmConfig(max_iterations=L, mu_init=mu, mu_bar=mu_bar),
+                        threads, start_state=state)
         total_iterations += lm_res.iterations
         total_restarts += lm_res.restarts
         mu = lm_res.mu_final if lm_res.mu_final > 0 else LmConfig.mu_init
@@ -200,14 +204,21 @@ def interleave_fit(
             history.extend(lm_res.error_history[1:])
         lm_stalled = lm_res.termination in ("converged", "mu-exhausted")
 
-        lin = solve_linear_subsystem(series, incumbent, threads)
-        lin_improved = lin.status == "ok" and lin.error < error
+        # After a failed solve and an LM run that did not lower E, the incumbent is
+        # the point that solve failed at (the pre-round solve kept nothing).
+        if round_ == 0 or lin_improved or dE_lm > 0:
+            lin = solve_linear_subsystem(series, incumbent, threads)
+            lin_improved = lin.status == "ok" and lin.error < error
         dE_lin = error - lin.error if lin_improved else 0.0
         if lin_improved:
             incumbent = lin.params
             error = lin.error
             history.append(error)
             mu = LmConfig.mu_init  # new basin; damping history no longer applies
+            report, jacobian = lin.evaluation
+            state = error, normal_equations(jacobian(), series.weights, report.residuals)
+        else:
+            state = lm_res.error, lm_res.normal_equations
 
         if not lin_improved and lm_stalled:
             return finish(lm_res.termination)

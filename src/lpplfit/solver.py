@@ -4,6 +4,9 @@ Damping uses Marquardt scaling (mu * diag(J'WJ)), since A and omega live on
 wildly different magnitudes. The iterate is a 7-vector in PARAM_NAMES order.
 The start and every trial point are clipped to the feasibility box that
 `model.box` defines, so every point evaluated passes `LpplParams.validate`.
+A trial that clipping rounds back to the iterate is not evaluated: its E is
+the iterate's, as B, T and m are bounded away from 0 and a signed zero in A,
+C, omega or phi moves no residual, so it is rejected as any worse trial is.
 When a step solve breaks down (singular system, non-finite step) or mu
 underflows to 0, the run restarts from the current iterate with mu set to a
 seed value mu_bar that is doubled on every restart up to MU_BAR_CAP; a
@@ -87,6 +90,8 @@ class FitResult:
     # rather than restart it from mu_init.
     mu_final: float = field(default=0.0, compare=False)
     mu_bar_final: float = field(default=0.0, compare=False)
+    # (g, N) at params, which a further run from there takes as its start_state
+    normal_equations: tuple = field(default=(), compare=False, repr=False)
 
 
 def project_params(params: LpplParams, n: int) -> LpplParams:
@@ -142,7 +147,7 @@ def _solve_step(N: np.ndarray, g: np.ndarray, mu: float) -> Optional[np.ndarray]
     return delta
 
 
-def _normal_equations(J: np.ndarray, w: np.ndarray, r: np.ndarray):
+def normal_equations(J: np.ndarray, w: np.ndarray, r: np.ndarray):
     """Gradient J'Wr and normal matrix J'WJ of the weighted problem."""
     Jw = J * w[:, None]
     return Jw.T @ r, Jw.T @ J
@@ -153,6 +158,8 @@ def lm_fit(
     start: LpplParams,
     config: LmConfig = LmConfig(),
     threads: int = 1,
+    *,
+    start_state: Optional[tuple] = None,
 ) -> FitResult:
     """Run damped Gauss-Newton iterations from `start` until a stopping rule fires.
 
@@ -166,7 +173,10 @@ def lm_fit(
     A trial point is evaluated for its residuals and E only. The Jacobian and
     the normal equations are formed once per accepted iterate (and once at
     the start), from the intermediates that evaluation kept, so a rejected
-    step costs one residual evaluation and one damped 7x7 solve.
+    step costs one residual evaluation and one damped 7x7 solve, and a trial
+    that clipping rounds back to the iterate costs the solve alone: its E is
+    the iterate's. A caller that has E and (g, N) at `start`, a point of the
+    box, passes `start_state=(E, (g, N))`, and the run skips that evaluation.
     """
     t_start = time.perf_counter()
     series.require_fit_ready()
@@ -177,9 +187,11 @@ def lm_fit(
 
     x = np.clip(start.as_array(), lo, hi)
     params = LpplParams(*x.tolist())
-    report, jacobian = evaluate_batch(params, series, threads, jacobian=False)
-    error = report.error
-    g, N = _normal_equations(jacobian(), w, report.residuals)
+    if start_state is None:
+        report, jacobian = evaluate_batch(params, series, threads, jacobian=False)
+        start_state = report.error, normal_equations(jacobian(), w, report.residuals)
+    error, (g, N) = start_state
+    flat = np.max(np.abs(g)) < GRADIENT_TOL  # the gradient test, rerun wherever g changes
     history = [error]
 
     mu = config.mu_init
@@ -199,6 +211,7 @@ def lm_fit(
             error_history=tuple(history),
             mu_final=mu,
             mu_bar_final=mu_bar,
+            normal_equations=(g, N),
         )
 
     while True:
@@ -206,7 +219,7 @@ def lm_fit(
             return finish("converged")
         if iterations >= config.max_iterations:
             return finish("iteration-cap")
-        if np.max(np.abs(g)) < GRADIENT_TOL:
+        if flat:
             return finish("converged")
 
         delta = _solve_step(N, g, mu) if 0.0 < mu < np.inf else None
@@ -220,12 +233,16 @@ def lm_fit(
 
         iterations += 1
         trial = np.clip(x + delta, lo, hi)
+        if np.array_equal(trial, x):  # E at x: rejected; a signed zero moves no r^2
+            mu *= MU_GROW
+            continue
         trial_params = LpplParams(*trial.tolist())
         report, jacobian = evaluate_batch(trial_params, series, threads, jacobian=False)
         if report.error < error:
             step_scale = np.max(np.abs(trial - x) / np.maximum(1.0, np.abs(x)))
             x, params, error = trial, trial_params, report.error
-            g, N = _normal_equations(jacobian(), w, report.residuals)
+            g, N = normal_equations(jacobian(), w, report.residuals)
+            flat = np.max(np.abs(g)) < GRADIENT_TOL
             history.append(error)
             mu *= MU_SHRINK
             if step_scale < STEP_TOL:

@@ -39,7 +39,8 @@ class WeightScheme:
             return "uniform"
         if self.kind == "step":
             return f"step:{self.s},{self.t}"
-        return f"quad:{self.W:g}"
+        text = f"{self.W:g}"  # short, unless it would not parse back to W
+        return f"quad:{text if float(text) == self.W else repr(self.W)}"
 
 
 def build_weights(scheme: WeightScheme, n: int) -> np.ndarray:
@@ -57,8 +58,8 @@ def build_weights(scheme: WeightScheme, n: int) -> np.ndarray:
         return w
     if scheme.kind == "quad":
         W = scheme.W
-        if W is None or W <= 0:
-            raise ValueError(f"quadratic weights require W > 0, got {W}")
+        if W is None or not 0 < W < np.inf:  # NaN fails too
+            raise ValueError(f"W must be finite and > 0, got {W}")
         i = np.arange(1, n + 1, dtype=float)
         return (W / (n - i + W)) ** 2
     raise ValueError(f"unknown weight scheme {scheme.kind!r}")

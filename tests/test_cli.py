@@ -108,6 +108,22 @@ def test_fit_multiple_weight_schemes(tmp_path, capsys):
     assert "uniform" in labels
 
 
+def test_near_quadratic_schemes_get_distinct_labels(tmp_path, capsys):
+    trace = run_synth(tmp_path)
+    assert main(["fit", str(trace), "--column", "price", *FAST_FIT,
+                 "--weights", "quad:1234567", "--weights", "quad:1234568"]) == EXIT_OK
+    labels = {f["weights"] for f in json.loads(capsys.readouterr().out)["fits"]}
+    assert labels == {"quad:1234567.0", "quad:1234568.0"}
+
+
+@pytest.mark.parametrize("W", ["nan", "inf"])
+def test_non_finite_quadratic_weight_is_input_error(tmp_path, capsys, W):
+    trace = run_synth(tmp_path)
+    assert main(["fit", str(trace), "--column", "price", *FAST_FIT,
+                 "--weights", f"quad:{W}"]) == EXIT_INPUT
+    assert "W must be finite and > 0" in capsys.readouterr().err
+
+
 def test_repeated_weight_scheme_is_fitted_once(tmp_path):
     trace = run_synth(tmp_path)
     once, twice = tmp_path / "once.json", tmp_path / "twice.json"

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from lpplfit import linear, solver
 from lpplfit.linear import (
     MAX_L,
     InterleaveConfig,
@@ -195,15 +196,90 @@ class TestInterleaveFit:
         # so the schedule hands over and round 2 runs with L = 4
         caps = []
 
-        def recording_lm_fit(series, start, config, threads=1):
+        def recording_lm_fit(series, start, config, threads=1, **kwargs):
             caps.append(config.max_iterations)
-            return lm_fit(series, start, config, threads)
+            return lm_fit(series, start, config, threads, **kwargs)
 
         monkeypatch.setattr("lpplfit.linear.lm_fit", recording_lm_fit)
         _, _, spec = standard_suite(20260823)[4]
         series = generate_trace(spec)
         interleave_fit(series, exponential_prefit(series).params, InterleaveConfig(max_rounds=3))
         assert caps == [5, 4, 5]
+
+
+def frozen_trace(k):
+    """Trace k of the frozen suite and its exponential seed."""
+    _, _, spec = standard_suite(20260823)[k]
+    series = generate_trace(spec)
+    return series, exponential_prefit(series).params
+
+
+class TestInterleaveHandOver:
+    # Each round's LM run starts from the E and (g, N) that the interleave
+    # already has at the incumbent, and a linear solve that would repeat a
+    # failed one is skipped; the results are the same bits as without either.
+
+    @pytest.mark.parametrize("k, pinned", [
+        (4, ("0x1.50d75aa46a3f4p+1", 180, 0, "iteration-cap")),  # base#4
+        (6, ("0x1.f9508bc3efdd2p+5", 212, 0, "iteration-cap")),  # oscillatory#1
+    ], ids=["base-4", "oscillatory-1"])
+    def test_pinned_results(self, k, pinned):
+        # values of the interleave that evaluated every round's start and
+        # solved after every round
+        series, seed = frozen_trace(k)
+        res = interleave_fit(series, seed, InterleaveConfig(max_rounds=40))
+        assert (res.error.hex(), res.iterations, res.restarts, res.termination) == pinned
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_same_result_without_the_hand_over(self, monkeypatch, k):
+        series, seed = frozen_trace(k)
+        config = InterleaveConfig(max_rounds=40)
+        handed = interleave_fit(series, seed, config)
+
+        def dropping(*args, start_state=None, **kwargs):
+            return lm_fit(*args, **kwargs)
+
+        monkeypatch.setattr("lpplfit.linear.lm_fit", dropping)
+        fresh = interleave_fit(series, seed, config)
+        assert dataclasses.replace(handed, wall_time=0.0) == dataclasses.replace(fresh, wall_time=0.0)
+        assert handed.error_history == fresh.error_history
+
+    def test_no_round_evaluates_its_own_start(self, monkeypatch):
+        series, seed = frozen_trace(6)
+        rounds = []  # (start, the points evaluated in that round)
+        evaluate = solver.evaluate_batch
+
+        def recording_lm_fit(series, start, *args, **kwargs):
+            rounds.append((start, []))
+            return lm_fit(series, start, *args, **kwargs)
+
+        def recording_evaluate(params, *args, **kwargs):
+            rounds[-1][1].append(params)
+            return evaluate(params, *args, **kwargs)
+
+        monkeypatch.setattr("lpplfit.linear.lm_fit", recording_lm_fit)
+        monkeypatch.setattr(solver, "evaluate_batch", recording_evaluate)
+        interleave_fit(series, seed, InterleaveConfig(max_rounds=40))
+        assert len(rounds) == 40
+        assert not any(evaluated and evaluated[0] == start for start, evaluated in rounds)
+
+    def test_no_repeated_failed_solve(self, monkeypatch):
+        # oscillatory#1 has a round whose LM run does not lower E after a
+        # failed solve; the solve at that same point is not made again
+        series, seed = frozen_trace(6)
+        solved = []
+        solve = linear.solve_linear_subsystem
+
+        def recording(series, fixed, *args):
+            solved.append(fixed)
+            return solve(series, fixed, *args)
+
+        monkeypatch.setattr(linear, "solve_linear_subsystem", recording)
+        res = interleave_fit(series, seed, InterleaveConfig(max_rounds=40))
+        assert res.termination == "iteration-cap"
+        # the solve before the first round may be at round 1's point: it kept nothing
+        assert len(solved) == 40
+        assert not any(a == b for a, b in zip(solved[1:], solved[2:]))
 
 
 class TestInterleaveConfig:

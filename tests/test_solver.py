@@ -1,18 +1,29 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 from lpplfit import model, solver
 from lpplfit.linear import solve_linear_subsystem
-from lpplfit.model import B_MIN, M_MAX, M_MIN, T_GAP, LpplParams, PriceSeries, lppl_values
+from lpplfit.model import (B_MIN, M_MAX, M_MIN, T_GAP, LpplParams, PriceSeries, box,
+                           evaluate_batch, lppl_values)
 from lpplfit.solver import (
+    ERROR_TOL,
+    ERROR_TOL_WINDOW,
+    GRADIENT_TOL,
     MU_BAR_CAP,
+    MU_GROW,
+    MU_SHRINK,
+    STEP_TOL,
     FitResult,
     LmConfig,
     exact_fit_floor,
     lm_fit,
+    normal_equations,
     project_params,
     restart_policy,
 )
@@ -21,6 +32,66 @@ from lpplfit.synth import PRESETS, SynthSpec, generate_trace
 
 def perturbed(params, factor=1.01):
     return LpplParams(*(v * factor for v in params.as_array()))
+
+
+def lm_fit_evaluating_every_trial(series, start, config=LmConfig()):
+    """`lm_fit` as it was before null trials were skipped: every trial point is
+    evaluated, and the gradient test runs on every pass of the loop."""
+    w, d, floor = series.weights, series.degrees_of_freedom, exact_fit_floor(series)
+    lo, hi = box(series.n)
+    x = np.clip(start.as_array(), lo, hi)
+    params = LpplParams(*x.tolist())
+    report, jacobian = evaluate_batch(params, series, jacobian=False)
+    error = report.error
+    g, N = normal_equations(jacobian(), w, report.residuals)
+    history = [error]
+    mu, mu_bar, iterations, restarts = config.mu_init, config.mu_bar, 0, 0
+
+    def finish(reason):
+        return FitResult(params, error, error / d, reason, iterations, restarts, 0.0,
+                         tuple(history), mu, mu_bar, (g, N))
+
+    while True:
+        if error <= floor:
+            return finish("converged")
+        if iterations >= config.max_iterations:
+            return finish("iteration-cap")
+        if np.max(np.abs(g)) < GRADIENT_TOL:
+            return finish("converged")
+        delta = solver._solve_step(N, g, mu) if 0.0 < mu < np.inf else None
+        if delta is None:
+            mu_bar, exhausted = restart_policy(mu_bar)
+            if exhausted:
+                return finish("mu-exhausted")
+            restarts += 1
+            mu = mu_bar
+            continue
+        iterations += 1
+        trial = np.clip(x + delta, lo, hi)
+        trial_params = LpplParams(*trial.tolist())
+        report, jacobian = evaluate_batch(trial_params, series, jacobian=False)
+        if report.error < error:
+            step_scale = np.max(np.abs(trial - x) / np.maximum(1.0, np.abs(x)))
+            x, params, error = trial, trial_params, report.error
+            g, N = normal_equations(jacobian(), w, report.residuals)
+            history.append(error)
+            mu *= MU_SHRINK
+            if step_scale < STEP_TOL:
+                return finish("converged")
+            if len(history) > ERROR_TOL_WINDOW:
+                prev = history[-1 - ERROR_TOL_WINDOW]
+                if prev > 0 and (prev - error) / prev < ERROR_TOL:
+                    return finish("converged")
+        else:
+            mu *= MU_GROW
+
+
+def result_fields(result):
+    """Every field of a FitResult but its wall time, with arrays as bytes."""
+    out = dataclasses.asdict(result)
+    del out["wall_time"]
+    out["normal_equations"] = tuple(a.tobytes() for a in result.normal_equations)
+    return out
 
 
 class TestConfigAndPolicy:
@@ -232,3 +303,70 @@ class TestLmFit:
         )
         with pytest.raises(ValueError):
             lm_fit(series, PRESETS["base"].params)
+
+
+class TestNullTrials:
+    # A trial that clipping rounds back to the iterate has the iterate's E, so
+    # it is rejected without an evaluation; every result stays the same.
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        preset=st.sampled_from(sorted(PRESETS)),
+        n=st.integers(20, 200),
+        noise_seed=st.integers(0, 2**32 - 1),
+        factors=st.lists(st.floats(0.8, 1.2), min_size=7, max_size=7),
+        # C and phi away from 0, where no step rounds back
+        dC=st.floats(0.01, 0.1) | st.floats(-0.1, -0.01),
+        phi=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+        mu_exponent=st.integers(-6, 250),
+        max_iterations=st.integers(1, 60),
+    )
+    def test_matches_the_loop_that_evaluates_every_trial(
+        self, preset, n, noise_seed, factors, dC, phi, mu_exponent, max_iterations
+    ):
+        truth = PRESETS[preset].params
+        series = generate_trace(SynthSpec(params=truth, sigma=0.01, n=n, seed=noise_seed))
+        start = LpplParams(*(v * f for v, f in zip(truth.as_array(), factors)))
+        start = start.replace(C=start.C + dC, phi=phi)
+        config = LmConfig(max_iterations=max_iterations, mu_init=10.0**mu_exponent)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # both loops overflow alike
+            expected = lm_fit_evaluating_every_trial(series, start, config)
+            got = lm_fit(series, start, config)
+        assert result_fields(got) == result_fields(expected)
+
+    def test_huge_mu_evaluates_only_the_start(self, monkeypatch):
+        spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=600, seed=4)
+        series = generate_trace(spec)
+        fitted = lm_fit(series, perturbed(spec.params, 1.05), LmConfig(max_iterations=20))
+        assert fitted.termination == "iteration-cap"
+        calls = []
+        evaluate = solver.evaluate_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "evaluate_batch", counting)
+        res = lm_fit(series, fitted.params, LmConfig(max_iterations=50, mu_init=1e200))
+        assert (res.iterations, res.termination, res.restarts) == (50, "iteration-cap", 0)
+        assert calls == [fitted.params]
+        assert res.params == fitted.params and res.error == fitted.error
+
+    def test_start_state_skips_the_start_evaluation(self, monkeypatch):
+        spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=600, seed=4)
+        series = generate_trace(spec)
+        first = lm_fit(series, perturbed(spec.params, 1.05), LmConfig(max_iterations=5))
+        plain = lm_fit(series, first.params)
+        calls = []
+        evaluate = solver.evaluate_batch
+
+        def recording(params, *args, **kwargs):
+            calls.append(params)
+            return evaluate(params, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "evaluate_batch", recording)
+        handed = lm_fit(series, first.params,
+                        start_state=(first.error, first.normal_equations))
+        assert first.params not in calls
+        assert result_fields(handed) == result_fields(plain)

@@ -61,3 +61,22 @@ def test_parse_round_trip():
         parse_scheme("gauss:1")
     with pytest.raises(ValueError):
         parse_scheme("step:3")
+
+
+@pytest.mark.parametrize("W", [100, 0.1, 1234567, 100.123456789, 2.5e-7])
+def test_quadratic_label_parses_back(W):
+    scheme = WeightScheme.quadratic(W)
+    assert parse_scheme(scheme.label()) == scheme
+
+
+def test_quadratic_labels_keep_near_schemes_apart():
+    # 6 significant digits would print both as quad:1.23457e+06
+    near = WeightScheme.quadratic(1234567), WeightScheme.quadratic(1234568)
+    assert near[0].label() != near[1].label()
+    assert WeightScheme.quadratic(100).label() == "quad:100"  # short where that is exact
+
+
+@pytest.mark.parametrize("W", [float("nan"), float("inf")])
+def test_quadratic_W_must_be_finite(W):
+    with pytest.raises(ValueError, match="W must be finite and > 0"):
+        build_weights(WeightScheme.quadratic(W), 10)
