@@ -12,7 +12,7 @@ from .model import (
     lppl_values,
 )
 from .weights import WeightScheme, build_weights, parse_scheme
-from .solver import FitResult, LmConfig, lm_fit, restart_policy
+from .solver import FitResult, LmState, lm_fit
 from .linear import (
     InterleaveConfig,
     LinearSolveResult,

@@ -22,7 +22,7 @@ from .linear import InterleaveConfig, interleave_fit
 from .model import LpplParams, PriceSeries, evaluate_batch, lppl_values
 from .seeds import (DEFAULT_EXTREMUM_HALF_WIDTH, InitSeed, SeedRejected, exponential_prefit,
                     propose_triples, triple_to_seed)
-from .solver import FitResult, LmConfig, lm_fit
+from .solver import FitResult, lm_fit
 from .synth import PRESETS, SynthSpec, generate_trace
 from .weights import WeightScheme, build_weights
 
@@ -150,7 +150,7 @@ def fit_command(
     individual result, only wall time. Rank ties break by task order so
     reports are stable. The baseline is the best scheme's exponential seed.
     `config` configures the interleave alone: with `interleave=False` each
-    task is one `lm_fit` of at most `LmConfig`'s 200 iterations.
+    task is one `lm_fit` of at most `solver.MAX_ITERATIONS` (200) iterations.
     """
     n = log_prices.shape[0]
     series_of = {scheme: PriceSeries(log_prices=log_prices, weights=build_weights(scheme, n))
@@ -285,6 +285,8 @@ def bench_command(
     """
     if n < 1000:
         raise ValueError("benchmark needs n >= 1000")
+    if repetitions < 1:
+        raise ValueError(f"repetitions (--reps) must be >= 1, got {repetitions}")
     base = PRESETS["base"]
     spec = SynthSpec(params=base.params.replace(T=float(n) * 1.1), sigma=base.sigma,
                      n=n, seed=12345)
@@ -301,7 +303,7 @@ def bench_command(
         row = {"threads": threads, "evaluate_median_s": statistics.median(times)}
         if include_fit:
             t0 = time.perf_counter()
-            lm_fit(series, start, LmConfig(max_iterations=10), threads)
+            lm_fit(series, start, 10, threads)
             row["lm_fit_10iter_s"] = time.perf_counter() - t0
         rows.append(row)
     baseline = next((r for r in rows if r["threads"] == 1), rows[0])

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .model import B_MIN, LpplParams, PriceSeries, evaluate_batch, lppl_kernel_values
-from .solver import (ERROR_TOL, FitResult, LmConfig, check_fields, exact_fit_floor, lm_fit,
+from .solver import (ERROR_TOL, FitResult, LmState, check_count, exact_fit_floor, lm_fit,
                      normal_equations, project_params)
 
 RANK_TOL = 1e-10
@@ -120,7 +120,7 @@ class InterleaveConfig:
     max_rounds: int = 200
 
     def __post_init__(self):
-        check_fields(self)
+        check_count("max_rounds", self.max_rounds)
 
 
 def interleave_fit(
@@ -134,8 +134,12 @@ def interleave_fit(
     The linear result replaces the incumbent only on strict error decrease,
     so the accepted-error sequence is strictly decreasing and the loop
     terminates: it stops once the linear solve fails to improve and LM can
-    make no further progress (converged or damping exhausted). The first
-    round, and each round after a linear improvement, starts at `LmConfig`'s damping.
+    make no further progress (converged or damping exhausted). Each round's
+    LM run resumes the `LmState` that the last one ended in: a fresh MU_INIT
+    every round would make a stalled L-capped run look final even though a
+    larger mu (or a restart) would still make progress. The first round
+    starts at MU_INIT, and a round after a linear improvement starts at mu =
+    MU_INIT in the new basin, keeping only mu_bar.
 
     Before the first round the linear sub-system is solved at the projected
     seed. If that fit is exact to rounding (`exact_fit_floor`), it is a global
@@ -180,22 +184,15 @@ def interleave_fit(
     if error <= floor:
         return finish("converged")
 
-    # E and (g, N) at the incumbent, handed to the next round's LM run
-    state = error, normal_equations(jacobian(), series.weights, report.residuals)
-    mu = LmConfig.mu_init
-    mu_bar = LmConfig.mu_bar
+    # E, (g, N) and the damping at the incumbent, handed to the next round's LM run
+    state = LmState(error, normal_equations(jacobian(), series.weights, report.residuals))
     lin_improved = False
     for round_ in range(config.max_rounds):
         round_start_error = error
-        # Resume the damping state from the previous round: a fresh mu_init
-        # every round would make a stalled L-capped invocation look final
-        # even though a larger mu (or a restart) would still make progress.
-        lm_res = lm_fit(series, incumbent, LmConfig(max_iterations=L, mu_init=mu, mu_bar=mu_bar),
-                        threads, start_state=state)
+        lm_res = lm_fit(series, incumbent, L, threads, state=state)
         total_iterations += lm_res.iterations
         total_restarts += lm_res.restarts
-        mu = lm_res.mu_final if lm_res.mu_final > 0 else LmConfig.mu_init
-        mu_bar = lm_res.mu_bar_final
+        state = lm_res.state
 
         dE_lm = error - lm_res.error
         if lm_res.error < error:
@@ -214,11 +211,9 @@ def interleave_fit(
             incumbent = lin.params
             error = lin.error
             history.append(error)
-            mu = LmConfig.mu_init  # new basin; damping history no longer applies
             report, jacobian = lin.evaluation
-            state = error, normal_equations(jacobian(), series.weights, report.residuals)
-        else:
-            state = lm_res.error, lm_res.normal_equations
+            state = LmState(error, normal_equations(jacobian(), series.weights, report.residuals),
+                            mu_bar=state.mu_bar)
 
         if not lin_improved and lm_stalled:
             return finish(lm_res.termination)

@@ -11,7 +11,12 @@ When a step solve breaks down (singular system, non-finite step) or mu
 underflows to 0, the run restarts from the current iterate with mu set to a
 seed value mu_bar that is doubled on every restart up to MU_BAR_CAP; a
 failure at the cap ends the run, so a run restarts at most
-ceil(log2(MU_BAR_CAP / mu_bar)) times (37 from the default seed).
+ceil(log2(MU_BAR_CAP / mu_bar)) times (37 from MU_INIT).
+
+mu and mu_bar are run state, not settings: a run takes an `LmState` (E and
+(g, N) at its start, and the damping to start with) and returns the one it
+ended in, so a caller that runs LM in capped pieces resumes each piece where
+the last one stopped.
 
 A fit whose weighted error is at the rounding floor of the data (see
 `exact_fit_floor`) is exact: E >= 0, so it is a global minimum and the run
@@ -22,8 +27,8 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,7 +37,9 @@ from .model import LpplParams, PriceSeries, box, evaluate_batch
 # mu step factors within a run: shrink on accept, grow on reject.
 MU_SHRINK = 1.0 / 3.0
 MU_GROW = 2.0
+MU_INIT = 1e-3  # mu and mu_bar of a fresh run
 MU_BAR_CAP = 1e8  # ceiling of the doubling restart seed mu_bar
+MAX_ITERATIONS = 200
 # Stopping tolerances: largest gradient entry, largest relative parameter
 # step, and relative E decrease over ERROR_TOL_WINDOW accepted steps.
 GRADIENT_TOL = 1e-12
@@ -41,37 +48,19 @@ ERROR_TOL = 1e-15
 ERROR_TOL_WINDOW = 3
 
 
-def check_fields(config) -> None:
-    """A config's int fields take an integer >= 1, its float fields any real number."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        kind, what = ((numbers.Integral, "an integer") if isinstance(f.default, int)
-                      else (numbers.Real, "a number"))
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"{f.name} must be {what}, got {value!r}")
-        if kind is numbers.Integral and value < 1:
-            raise ValueError(f"{f.name} must be >= 1, got {value!r}")
+def check_count(name: str, value) -> None:
+    """An iteration or round cap is an integer >= 1; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-@dataclass(frozen=True)
-class LmConfig:
-    """Iteration bound and damping seeds of one run.
+class LmState(NamedTuple):
+    """E and (g, N) at a point of the box, and the damping a run there starts with."""
 
-    The damping seeds are fields, not constants, because the interleave
-    resumes each round from the damping that the previous round ended with,
-    which may be inf when that round's damping was exhausted.
-    """
-
-    max_iterations: int = 200
-    mu_init: float = 1e-3
-    mu_bar: float = 1e-3
-
-    def __post_init__(self):
-        check_fields(self)
-        if not self.mu_init > 0:  # NaN fails too
-            raise ValueError(f"mu_init must be positive, got {self.mu_init!r}")
-        if not 0 < self.mu_bar <= MU_BAR_CAP:
-            raise ValueError(f"mu_bar must be in (0, {MU_BAR_CAP:g}], got {self.mu_bar!r}")
+    error: float
+    normal_equations: tuple
+    mu: float = MU_INIT
+    mu_bar: float = MU_INIT
 
 
 @dataclass(frozen=True)
@@ -86,12 +75,8 @@ class FitResult:
     restarts: int
     wall_time: float
     error_history: tuple = field(default=(), compare=False)
-    # Damping state at exit, so an interleaved caller can resume the run
-    # rather than restart it from mu_init.
-    mu_final: float = field(default=0.0, compare=False)
-    mu_bar_final: float = field(default=0.0, compare=False)
-    # (g, N) at params, which a further run from there takes as its start_state
-    normal_equations: tuple = field(default=(), compare=False, repr=False)
+    # lm_fit's exit state at params, which a further run from there resumes
+    state: Optional[LmState] = field(default=None, compare=False, repr=False)
 
 
 def project_params(params: LpplParams, n: int) -> LpplParams:
@@ -110,17 +95,6 @@ def exact_fit_floor(series: PriceSeries) -> float:
     y = series.log_prices
     eps = np.finfo(float).eps
     return float(series.n * eps**2 * np.dot(series.weights, y * y))
-
-
-def restart_policy(mu_bar: float):
-    """Next restart damping seed after a restart-triggering failure.
-
-    Returns (new_mu_bar, exhausted): mu_bar doubles up to MU_BAR_CAP; if it
-    was already at the cap when the condition recurred, the run must terminate.
-    """
-    if mu_bar >= MU_BAR_CAP:
-        return MU_BAR_CAP, True
-    return min(2.0 * mu_bar, MU_BAR_CAP), False
 
 
 def _solve_step(N: np.ndarray, g: np.ndarray, mu: float) -> Optional[np.ndarray]:
@@ -156,10 +130,10 @@ def normal_equations(J: np.ndarray, w: np.ndarray, r: np.ndarray):
 def lm_fit(
     series: PriceSeries,
     start: LpplParams,
-    config: LmConfig = LmConfig(),
+    max_iterations: int = MAX_ITERATIONS,
     threads: int = 1,
     *,
-    start_state: Optional[tuple] = None,
+    state: Optional[LmState] = None,
 ) -> FitResult:
     """Run damped Gauss-Newton iterations from `start` until a stopping rule fires.
 
@@ -176,9 +150,12 @@ def lm_fit(
     step costs one residual evaluation and one damped 7x7 solve, and a trial
     that clipping rounds back to the iterate costs the solve alone: its E is
     the iterate's. A caller that has E and (g, N) at `start`, a point of the
-    box, passes `start_state=(E, (g, N))`, and the run skips that evaluation.
+    box, passes them in `state`, and the run skips that evaluation; without
+    one the run starts at MU_INIT damping. The result's `state` holds the
+    run's exit state, with a mu that underflowed to 0 reset to MU_INIT.
     """
     t_start = time.perf_counter()
+    check_count("max_iterations", max_iterations)
     series.require_fit_ready()
     w = series.weights
     d = series.degrees_of_freedom
@@ -187,15 +164,16 @@ def lm_fit(
 
     x = np.clip(start.as_array(), lo, hi)
     params = LpplParams(*x.tolist())
-    if start_state is None:
+    if state is None:
         report, jacobian = evaluate_batch(params, series, threads, jacobian=False)
-        start_state = report.error, normal_equations(jacobian(), w, report.residuals)
-    error, (g, N) = start_state
+        state = LmState(report.error, normal_equations(jacobian(), w, report.residuals))
+    error, (g, N), mu, mu_bar = state
+    if not mu > 0:  # NaN fails too
+        raise ValueError(f"mu must be positive, got {mu!r}")
+    if not 0 < mu_bar <= MU_BAR_CAP:
+        raise ValueError(f"mu_bar must be in (0, {MU_BAR_CAP:g}], got {mu_bar!r}")
     flat = np.max(np.abs(g)) < GRADIENT_TOL  # the gradient test, rerun wherever g changes
     history = [error]
-
-    mu = config.mu_init
-    mu_bar = config.mu_bar
     iterations = 0
     restarts = 0
 
@@ -209,26 +187,23 @@ def lm_fit(
             restarts=restarts,
             wall_time=time.perf_counter() - t_start,
             error_history=tuple(history),
-            mu_final=mu,
-            mu_bar_final=mu_bar,
-            normal_equations=(g, N),
+            state=LmState(error, (g, N), mu if mu > 0 else MU_INIT, mu_bar),
         )
 
     while True:
         if error <= floor:
             return finish("converged")
-        if iterations >= config.max_iterations:
+        if iterations >= max_iterations:
             return finish("iteration-cap")
         if flat:
             return finish("converged")
 
         delta = _solve_step(N, g, mu) if 0.0 < mu < np.inf else None
         if delta is None:
-            mu_bar, exhausted = restart_policy(mu_bar)
-            if exhausted:
+            if mu_bar >= MU_BAR_CAP:
                 return finish("mu-exhausted")
+            mu = mu_bar = min(2.0 * mu_bar, MU_BAR_CAP)  # from the current iterate
             restarts += 1
-            mu = mu_bar  # continue from the current iterate, not the original seed
             continue
 
         iterations += 1

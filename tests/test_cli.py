@@ -322,6 +322,14 @@ def test_bench_smoke(tmp_path):
     assert all("speedup" in r for r in rows)
 
 
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_bench_without_repetitions_is_input_error(tmp_path, capsys, reps):
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--n", "2000", "--reps", reps, "--out", str(out)]) == EXIT_INPUT
+    assert "--reps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_triple_argument_parsing(tmp_path, capsys):
     trace = run_synth(tmp_path, "long.csv", "--n", "1000")
     assert main(["fit", str(trace), "--column", "price", "--auto-triples", "0",

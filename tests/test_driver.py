@@ -233,7 +233,7 @@ class TestFitCommand:
 
     def test_plain_lm_task_is_lm_fit_at_its_defaults(self, prices):
         # with the interleave off, `config` is not read: each task is one
-        # lm_fit from its seed at LmConfig()'s iteration cap
+        # lm_fit from its seed at MAX_ITERATIONS
         series = PriceSeries(prices, build_weights(WeightScheme.uniform(), prices.size))
         report = fit_command(prices, [WeightScheme.uniform()], auto_triples=2,
                              interleave=False, config=InterleaveConfig(max_rounds=1))

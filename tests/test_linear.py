@@ -12,7 +12,7 @@ from lpplfit.linear import (
     update_L,
 )
 from lpplfit.model import B_MIN, LpplParams, PriceSeries, evaluate_batch
-from lpplfit.solver import LmConfig, lm_fit
+from lpplfit.solver import lm_fit, normal_equations
 from lpplfit.seeds import exponential_prefit
 from lpplfit.synth import PRESETS, SynthSpec, generate_trace, standard_suite
 
@@ -175,7 +175,7 @@ class TestInterleaveFit:
         spec = SynthSpec(params=PRESETS["oscillatory"].params, sigma=0.02, n=800, seed=6)
         series = generate_trace(spec)
         start = LpplParams(*(v * 1.05 for v in spec.params.as_array()))
-        plain = lm_fit(series, start, LmConfig(max_iterations=400))
+        plain = lm_fit(series, start, 400)
         mixed = interleave_fit(series, start)
         assert mixed.error <= plain.error * (1 + 1e-9)
 
@@ -196,9 +196,9 @@ class TestInterleaveFit:
         # so the schedule hands over and round 2 runs with L = 4
         caps = []
 
-        def recording_lm_fit(series, start, config, threads=1, **kwargs):
-            caps.append(config.max_iterations)
-            return lm_fit(series, start, config, threads, **kwargs)
+        def recording_lm_fit(series, start, max_iterations, threads=1, **kwargs):
+            caps.append(max_iterations)
+            return lm_fit(series, start, max_iterations, threads, **kwargs)
 
         monkeypatch.setattr("lpplfit.linear.lm_fit", recording_lm_fit)
         _, _, spec = standard_suite(20260823)[4]
@@ -236,10 +236,14 @@ class TestInterleaveHandOver:
         config = InterleaveConfig(max_rounds=40)
         handed = interleave_fit(series, seed, config)
 
-        def dropping(*args, start_state=None, **kwargs):
-            return lm_fit(*args, **kwargs)
+        def recomputing(series, start, *args, state, **kwargs):
+            # E and (g, N) evaluated afresh at the start; only the damping is handed over
+            report, jacobian = evaluate_batch(start, series, jacobian=False)
+            g_N = normal_equations(jacobian(), series.weights, report.residuals)
+            fresh = state._replace(error=report.error, normal_equations=g_N)
+            return lm_fit(series, start, *args, state=fresh, **kwargs)
 
-        monkeypatch.setattr("lpplfit.linear.lm_fit", dropping)
+        monkeypatch.setattr("lpplfit.linear.lm_fit", recomputing)
         fresh = interleave_fit(series, seed, config)
         assert dataclasses.replace(handed, wall_time=0.0) == dataclasses.replace(fresh, wall_time=0.0)
         assert handed.error_history == fresh.error_history
@@ -284,8 +288,8 @@ class TestInterleaveHandOver:
 
 class TestInterleaveConfig:
     def test_round_cap_is_the_only_setting(self):
-        # each round's LM cap is its adaptive L, and its damping starts from
-        # LmConfig's, so the interleave has no LM settings of its own
+        # each round's LM cap is its adaptive L, and its damping is the LmState
+        # that the last round handed over, so the interleave has no LM settings
         assert tuple(f.name for f in dataclasses.fields(InterleaveConfig)) == ("max_rounds",)
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5, True, None, "3"])

@@ -22,7 +22,7 @@ from lpplfit.model import (
     lppl_value,
     lppl_values,
 )
-from lpplfit.solver import LmConfig, lm_fit
+from lpplfit.solver import lm_fit
 from lpplfit.synth import PRESETS, SynthSpec, generate_trace
 
 # Lengths that end inside, on and just past a block edge, and span three blocks.
@@ -166,7 +166,7 @@ class TestEvaluateBatch:
         # and so a fit over three blocks takes the very same steps
         spec, series = noisy_trace(2 * BLOCK + 3)
         start = spec.params.replace(A=spec.params.A * 1.01, m=0.6)
-        serial, pooled = (lm_fit(series, start, LmConfig(max_iterations=5), threads)
+        serial, pooled = (lm_fit(series, start, 5, threads)
                           for threads in (1, 3))
         assert len(serial.error_history) > 1
         assert serial.params == pooled.params

@@ -15,17 +15,18 @@ from lpplfit.solver import (
     ERROR_TOL,
     ERROR_TOL_WINDOW,
     GRADIENT_TOL,
+    MAX_ITERATIONS,
     MU_BAR_CAP,
     MU_GROW,
+    MU_INIT,
     MU_SHRINK,
     STEP_TOL,
     FitResult,
-    LmConfig,
+    LmState,
     exact_fit_floor,
     lm_fit,
     normal_equations,
     project_params,
-    restart_policy,
 )
 from lpplfit.synth import PRESETS, SynthSpec, generate_trace
 
@@ -34,7 +35,15 @@ def perturbed(params, factor=1.01):
     return LpplParams(*(v * factor for v in params.as_array()))
 
 
-def lm_fit_evaluating_every_trial(series, start, config=LmConfig()):
+def evaluated_state(series, start, **damping):
+    """The `LmState` that `lm_fit` would build at `start`, with the given damping."""
+    params = project_params(start, series.n)
+    report, jacobian = evaluate_batch(params, series, jacobian=False)
+    g_N = normal_equations(jacobian(), series.weights, report.residuals)
+    return LmState(report.error, g_N, **damping)
+
+
+def lm_fit_evaluating_every_trial(series, start, max_iterations=MAX_ITERATIONS, mu=MU_INIT):
     """`lm_fit` as it was before null trials were skipped: every trial point is
     evaluated, and the gradient test runs on every pass of the loop."""
     w, d, floor = series.weights, series.degrees_of_freedom, exact_fit_floor(series)
@@ -45,26 +54,25 @@ def lm_fit_evaluating_every_trial(series, start, config=LmConfig()):
     error = report.error
     g, N = normal_equations(jacobian(), w, report.residuals)
     history = [error]
-    mu, mu_bar, iterations, restarts = config.mu_init, config.mu_bar, 0, 0
+    mu_bar, iterations, restarts = MU_INIT, 0, 0
 
     def finish(reason):
         return FitResult(params, error, error / d, reason, iterations, restarts, 0.0,
-                         tuple(history), mu, mu_bar, (g, N))
+                         tuple(history), LmState(error, (g, N), mu or MU_INIT, mu_bar))
 
     while True:
         if error <= floor:
             return finish("converged")
-        if iterations >= config.max_iterations:
+        if iterations >= max_iterations:
             return finish("iteration-cap")
         if np.max(np.abs(g)) < GRADIENT_TOL:
             return finish("converged")
         delta = solver._solve_step(N, g, mu) if 0.0 < mu < np.inf else None
         if delta is None:
-            mu_bar, exhausted = restart_policy(mu_bar)
-            if exhausted:
+            if mu_bar >= MU_BAR_CAP:
                 return finish("mu-exhausted")
             restarts += 1
-            mu = mu_bar
+            mu = mu_bar = min(2.0 * mu_bar, MU_BAR_CAP)
             continue
         iterations += 1
         trial = np.clip(x + delta, lo, hi)
@@ -90,37 +98,28 @@ def result_fields(result):
     """Every field of a FitResult but its wall time, with arrays as bytes."""
     out = dataclasses.asdict(result)
     del out["wall_time"]
-    out["normal_equations"] = tuple(a.tobytes() for a in result.normal_equations)
+    error, (g, N), mu, mu_bar = result.state
+    out["state"] = (error, g.tobytes(), N.tobytes(), mu, mu_bar)
     return out
 
 
 class TestConfigAndPolicy:
     def test_config_validation(self):
-        for bad in ({"max_iterations": 0}, {"max_iterations": -5}, {"max_iterations": 2.5},
-                    {"max_iterations": True}, {"mu_init": 0.0}, {"mu_init": float("nan")},
-                    {"mu_init": True}, {"mu_init": None}, {"mu_bar": 0.0},
-                    {"mu_bar": float("nan")}, {"mu_bar": 2 * MU_BAR_CAP}, {"mu_bar": "0"}):
-            with pytest.raises(ValueError, match=next(iter(bad))):
-                LmConfig(**bad)
-        # an integer is a real number, the cap itself is a valid seed, and an
-        # infinite mu_init is carried over from an interleave round that ended
-        # with its damping exhausted
-        LmConfig(mu_init=float("inf"), mu_bar=MU_BAR_CAP, max_iterations=np.int64(5))
-
-    def test_restart_policy_doubles_to_cap(self):
-        mu_bar, cap = 1e-3, MU_BAR_CAP
-        seen = []
-        for _ in range(50):
-            mu_bar, exhausted = restart_policy(mu_bar)
-            seen.append(mu_bar)
-            if exhausted:
-                break
-        # doubling from 1e-3 reaches the 1e8 cap after ceil(log2(1e11)) = 37 steps,
-        # then one more call reports exhaustion
-        assert seen[0] == 2e-3
-        assert seen[-1] == cap and exhausted
-        assert len(seen) == 38
-        assert all(b == pytest.approx(min(2 * a, cap)) for a, b in zip([1e-3] + seen, seen))
+        spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=300, seed=1)
+        series = generate_trace(spec)
+        start = perturbed(spec.params, 1.05)
+        for bad in (0, -5, 2.5, True):
+            with pytest.raises(ValueError, match="max_iterations"):
+                lm_fit(series, start, bad)
+        state = evaluated_state(series, start)
+        for bad in ({"mu": 0.0}, {"mu": float("nan")}, {"mu_bar": 0.0},
+                    {"mu_bar": float("nan")}, {"mu_bar": 2 * MU_BAR_CAP}):
+            with pytest.raises(ValueError, match=f"{next(iter(bad))} must"):
+                lm_fit(series, start, state=state._replace(**bad))
+        # the cap itself is a valid seed, an infinite mu is carried over from
+        # an interleave round that ended with its damping exhausted, and any
+        # integer type is an iteration cap
+        lm_fit(series, start, np.int64(5), state=state._replace(mu=float("inf"), mu_bar=MU_BAR_CAP))
 
     def test_projection(self):
         p = LpplParams(A=1, B=-5, T=90, m=2.0, C=0, omega=1, phi=0)
@@ -134,7 +133,7 @@ class TestLmFit:
     def test_noiseless_recovery_from_perturbed_truth(self):
         spec = SynthSpec(params=PRESETS["base"].params, sigma=0.0, n=1000, seed=0)
         series = generate_trace(spec)
-        res = lm_fit(series, perturbed(spec.params), LmConfig(max_iterations=500))
+        res = lm_fit(series, perturbed(spec.params), 500)
         assert res.error < 1e-15
         np.testing.assert_allclose(
             res.params.as_array(), spec.params.as_array(), rtol=1e-4, atol=1e-8
@@ -182,7 +181,7 @@ class TestLmFit:
         spec = SynthSpec(params=PRESETS["base"].params, sigma=0.005, n=1000, seed=2)
         series = generate_trace(spec)
         start = perturbed(spec.params, 1.01)
-        res = lm_fit(series, start, LmConfig(max_iterations=500))
+        res = lm_fit(series, start, 500)
 
         sw = np.sqrt(series.weights)
         x = series.indices
@@ -222,18 +221,18 @@ class TestLmFit:
         # exactly the step that reaches the floor still ends converged
         spec = SynthSpec(params=PRESETS["base"].params, sigma=0.0, n=1000, seed=0)
         series = generate_trace(spec)
-        free = lm_fit(series, perturbed(spec.params), LmConfig(max_iterations=500))
+        free = lm_fit(series, perturbed(spec.params), 500)
         assert free.termination == "converged" and free.error <= exact_fit_floor(series)
-        capped = lm_fit(series, perturbed(spec.params), LmConfig(max_iterations=free.iterations))
+        capped = lm_fit(series, perturbed(spec.params), free.iterations)
         assert capped.termination == "converged"
         assert capped.params == free.params and capped.iterations == free.iterations
-        short = LmConfig(max_iterations=free.iterations - 1)
+        short = free.iterations - 1
         assert lm_fit(series, perturbed(spec.params), short).termination == "iteration-cap"
 
     def test_iteration_cap(self):
         spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=300, seed=1)
         series = generate_trace(spec)
-        res = lm_fit(series, perturbed(spec.params, 1.3), LmConfig(max_iterations=2))
+        res = lm_fit(series, perturbed(spec.params, 1.3), 2)
         assert res.termination == "iteration-cap"
         assert res.iterations == 2
 
@@ -241,7 +240,7 @@ class TestLmFit:
         spec = SynthSpec(params=PRESETS["base"].params, sigma=0.0, n=200, seed=0)
         series = generate_trace(spec)
         bad = spec.params.replace(T=50.0, B=-1.0)  # outside the box and the domain
-        res = lm_fit(series, bad, LmConfig(max_iterations=5))
+        res = lm_fit(series, bad, 5)
         assert res.params.T > 200 and res.params.B >= B_MIN
 
     def test_every_trial_point_is_in_the_box(self, monkeypatch):
@@ -258,7 +257,7 @@ class TestLmFit:
 
         monkeypatch.setattr(solver, "evaluate_batch", recording)
         start = spec.params.replace(T=250.0, B=-0.5, m=1.5)
-        res = lm_fit(series, start, LmConfig(max_iterations=40))
+        res = lm_fit(series, start, 40)
         assert res.iterations > 0
         assert len(seen) == res.iterations + 1
         for p in seen:
@@ -269,33 +268,42 @@ class TestLmFit:
         # without a RuntimeWarning, and the run goes on from mu_bar
         spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=300, seed=1)
         series = generate_trace(spec)
+        start = perturbed(spec.params, 1.05)
+        state = evaluated_state(series, start, mu=1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = lm_fit(series, perturbed(spec.params, 1.05),
-                         LmConfig(mu_init=1e308, max_iterations=20))
+            res = lm_fit(series, start, 20, state=state)
         assert res.restarts >= 1
         assert res.iterations > 0
 
-    @pytest.mark.parametrize("config, restarts", [
-        (LmConfig(), 37),  # ceil(log2(1e8 / 1e-3))
-        (LmConfig(mu_init=1e-12, mu_bar=1e-12), 67),  # ceil(log2(1e8 / 1e-12))
+    @pytest.mark.parametrize("mu_bar, restarts", [
+        (MU_INIT, 37),  # ceil(log2(1e8 / 1e-3))
+        (1e-12, 67),  # ceil(log2(1e8 / 1e-12))
     ], ids=["default", "mu-bar-1e-12"])
-    def test_mu_bar_cap_bounds_restarts(self, monkeypatch, config, restarts):
+    def test_mu_bar_cap_bounds_restarts(self, monkeypatch, mu_bar, restarts):
         # every step solve fails: mu_bar doubles on each restart until the
         # cap, and the next failure ends the run
-        monkeypatch.setattr(solver, "_solve_step", lambda N, g, mu: None)
+        solves = []
+
+        def failing(N, g, mu):
+            solves.append(mu)
+
+        monkeypatch.setattr(solver, "_solve_step", failing)
         spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=300, seed=1)
         series = generate_trace(spec)
-        res = lm_fit(series, perturbed(spec.params, 1.05), config)
+        start = perturbed(spec.params, 1.05)
+        res = lm_fit(series, start, state=evaluated_state(series, start, mu=mu_bar, mu_bar=mu_bar))
         assert res.termination == "mu-exhausted"
         assert (res.restarts, res.iterations) == (restarts, 0)
-        assert res.mu_bar_final == MU_BAR_CAP
+        assert res.state.mu_bar == MU_BAR_CAP
+        # each restart doubles mu_bar and runs the next solve at it, until the cap
+        assert solves == [min(mu_bar * 2.0**k, MU_BAR_CAP) for k in range(restarts + 1)]
 
     def test_exposes_damping_state(self):
         spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=300, seed=1)
         series = generate_trace(spec)
-        res = lm_fit(series, perturbed(spec.params, 1.05), LmConfig(max_iterations=3))
-        assert res.mu_final > 0 and res.mu_bar_final > 0
+        res = lm_fit(series, perturbed(spec.params, 1.05), 3)
+        assert res.state.mu > 0 and res.state.mu_bar > 0
 
     def test_rejects_underweighted_series(self):
         series = PriceSeries(
@@ -328,17 +336,17 @@ class TestNullTrials:
         series = generate_trace(SynthSpec(params=truth, sigma=0.01, n=n, seed=noise_seed))
         start = LpplParams(*(v * f for v, f in zip(truth.as_array(), factors)))
         start = start.replace(C=start.C + dC, phi=phi)
-        config = LmConfig(max_iterations=max_iterations, mu_init=10.0**mu_exponent)
+        mu = 10.0**mu_exponent
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # both loops overflow alike
-            expected = lm_fit_evaluating_every_trial(series, start, config)
-            got = lm_fit(series, start, config)
+            expected = lm_fit_evaluating_every_trial(series, start, max_iterations, mu)
+            got = lm_fit(series, start, max_iterations, state=evaluated_state(series, start, mu=mu))
         assert result_fields(got) == result_fields(expected)
 
-    def test_huge_mu_evaluates_only_the_start(self, monkeypatch):
+    def test_huge_mu_evaluates_no_trial(self, monkeypatch):
         spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=600, seed=4)
         series = generate_trace(spec)
-        fitted = lm_fit(series, perturbed(spec.params, 1.05), LmConfig(max_iterations=20))
+        fitted = lm_fit(series, perturbed(spec.params, 1.05), 20)
         assert fitted.termination == "iteration-cap"
         calls = []
         evaluate = solver.evaluate_batch
@@ -348,15 +356,15 @@ class TestNullTrials:
             return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(solver, "evaluate_batch", counting)
-        res = lm_fit(series, fitted.params, LmConfig(max_iterations=50, mu_init=1e200))
+        res = lm_fit(series, fitted.params, 50, state=fitted.state._replace(mu=1e200))
         assert (res.iterations, res.termination, res.restarts) == (50, "iteration-cap", 0)
-        assert calls == [fitted.params]
+        assert calls == []  # the start's E and (g, N) come with the state
         assert res.params == fitted.params and res.error == fitted.error
 
     def test_start_state_skips_the_start_evaluation(self, monkeypatch):
         spec = SynthSpec(params=PRESETS["base"].params, sigma=0.01, n=600, seed=4)
         series = generate_trace(spec)
-        first = lm_fit(series, perturbed(spec.params, 1.05), LmConfig(max_iterations=5))
+        first = lm_fit(series, perturbed(spec.params, 1.05), 5)
         plain = lm_fit(series, first.params)
         calls = []
         evaluate = solver.evaluate_batch
@@ -366,7 +374,24 @@ class TestNullTrials:
             return evaluate(params, *args, **kwargs)
 
         monkeypatch.setattr(solver, "evaluate_batch", recording)
-        handed = lm_fit(series, first.params,
-                        start_state=(first.error, first.normal_equations))
+        fresh_damping = first.state._replace(mu=MU_INIT, mu_bar=MU_INIT)
+        handed = lm_fit(series, first.params, state=fresh_damping)
         assert first.params not in calls
         assert result_fields(handed) == result_fields(plain)
+
+    def test_mu_underflow_resumes_from_mu_init(self):
+        # a run whose mu shrinks to 0 on its last accepted step hands over
+        # MU_INIT, which is what a further run from its exit point resumes;
+        # off a noiseless trace's A alone, the undamped step is accepted
+        spec = SynthSpec(params=PRESETS["base"].params, sigma=0.0, n=300, seed=1)
+        series = generate_trace(spec)
+        start = spec.params.replace(A=spec.params.A * 1.01)
+        res = lm_fit(series, start, 1, state=evaluated_state(series, start, mu=5e-324))
+        assert 5e-324 * MU_SHRINK == 0.0
+        assert (res.iterations, len(res.error_history), res.termination) == (1, 2, "iteration-cap")
+        assert (res.state.mu, res.state.mu_bar) == (MU_INIT, MU_INIT)
+        resumed = lm_fit(series, res.params, 30, state=res.state)
+        damping = {"mu": res.state.mu, "mu_bar": res.state.mu_bar}
+        fresh = lm_fit(series, res.params, 30, state=evaluated_state(series, res.params, **damping))
+        assert resumed.iterations > 0
+        assert result_fields(resumed) == result_fields(fresh)
