@@ -237,18 +237,24 @@ def cmd_classify(args) -> int:
     if version != REPORT_SCHEMA_VERSION:
         raise IngestError(f"{args.report}: report schema_version {version!r}, "
                           f"expected {REPORT_SCHEMA_VERSION}")
+
+    def number(value):  # float() alone would read "nan" and bools, past _load_json's guard
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"expected a JSON number, got {value!r}")
+        return float(value)
+
     try:
         best = report["best"]
         fit_result = FitResult(
-            params=LpplParams(**{name: float(best["params"][name]) for name in PARAM_NAMES}),
-            error=float(best["error"]),
-            average_error=float(best["average_error"]),
+            params=LpplParams(**{name: number(best["params"][name]) for name in PARAM_NAMES}),
+            error=number(best["error"]),
+            average_error=number(best["average_error"]),
             termination=str(best["termination"]),
-            iterations=int(best["iterations"]),
-            restarts=int(best["restarts"]),
+            iterations=int(number(best["iterations"])),
+            restarts=int(number(best["restarts"])),
             wall_time=0.0,
         )
-        baseline_average_error = float(report["baseline_average_error"])
+        baseline_average_error = number(report["baseline_average_error"])
     except (KeyError, TypeError, ValueError) as exc:
         raise IngestError(f"{args.report}: malformed fit report ({exc!r})") from exc
     verdict = classify(fit_result, baseline_average_error, _thresholds_from(args))

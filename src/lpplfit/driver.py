@@ -276,7 +276,6 @@ def bench_command(
     n: int = 100_000,
     thread_counts: Sequence[int] = (1, 2, 4, 8),
     repetitions: int = 5,
-    include_fit: bool = True,
 ) -> List[dict]:
     """Median evaluate_batch wall time per thread count on a synthetic trace.
 
@@ -300,12 +299,10 @@ def bench_command(
             t0 = time.perf_counter()
             evaluate_batch(spec.params, series, threads)
             times.append(time.perf_counter() - t0)
-        row = {"threads": threads, "evaluate_median_s": statistics.median(times)}
-        if include_fit:
-            t0 = time.perf_counter()
-            lm_fit(series, start, 10, threads)
-            row["lm_fit_10iter_s"] = time.perf_counter() - t0
-        rows.append(row)
+        t0 = time.perf_counter()
+        lm_fit(series, start, 10, threads)
+        rows.append({"threads": threads, "evaluate_median_s": statistics.median(times),
+                     "lm_fit_10iter_s": time.perf_counter() - t0})
     baseline = next((r for r in rows if r["threads"] == 1), rows[0])
     for row in rows:
         row["speedup"] = baseline["evaluate_median_s"] / row["evaluate_median_s"]

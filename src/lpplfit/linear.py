@@ -37,10 +37,6 @@ class LinearSolveResult:
     """Outcome of one fixed-(T, m, omega, phi) linear solve."""
 
     status: str  # ok | rank-deficient | nonpositive-beta (beta < B_MIN)
-    A: float = np.nan
-    beta: float = np.nan
-    gamma: float = np.nan
-    C: float = np.nan
     error: float = np.nan
     params: Optional[LpplParams] = None
     # evaluate_batch's (report, Jacobian closure) at params, for the next LM run
@@ -76,13 +72,12 @@ def solve_linear_subsystem(
         return LinearSolveResult(status="rank-deficient")
     A, beta, gamma = (float(c) for c in coef)
     if beta < B_MIN:
-        return LinearSolveResult(status="nonpositive-beta", A=A, beta=beta, gamma=gamma)
+        return LinearSolveResult(status="nonpositive-beta")
 
-    C = gamma / beta
-    params = fixed.replace(A=A, B=beta, C=C)
+    params = fixed.replace(A=A, B=beta, C=gamma / beta)
     report, jacobian = evaluate_batch(params, series, threads, jacobian=False)
-    return LinearSolveResult(status="ok", A=A, beta=beta, gamma=gamma, C=C,
-                             error=report.error, params=params, evaluation=(report, jacobian))
+    return LinearSolveResult(status="ok", error=report.error, params=params,
+                             evaluation=(report, jacobian))
 
 
 def update_L(
@@ -143,12 +138,14 @@ def interleave_fit(
 
     Before the first round the linear sub-system is solved at the projected
     seed. If that fit is exact to rounding (`exact_fit_floor`), it is a global
-    minimum and is returned as converged with no LM iterations; otherwise it
-    is discarded and the rounds start from the projected seed itself.
+    minimum and is returned as converged with no LM iterations; otherwise the
+    rounds start from the projected seed, and that solve stands as the linear
+    result until an LM run lowers E. Only such a round solves again: the solve
+    reads only (T, m, omega, phi), which only an LM step moves, so any other
+    round would repeat the last solve at its own point and result.
 
     No round's LM run evaluates its start: it is handed E and (g, N) there,
-    from the seed's evaluation, the linear solve's or the last LM run's. A
-    solve at the point where the last one failed is skipped: it would fail.
+    from the seed's evaluation, the linear solve's or the last LM run's.
     """
     t_start = time.perf_counter()
     n = series.n
@@ -186,7 +183,6 @@ def interleave_fit(
 
     # E, (g, N) and the damping at the incumbent, handed to the next round's LM run
     state = LmState(error, normal_equations(jacobian(), series.weights, report.residuals))
-    lin_improved = False
     for round_ in range(config.max_rounds):
         round_start_error = error
         lm_res = lm_fit(series, incumbent, L, threads, state=state)
@@ -201,11 +197,10 @@ def interleave_fit(
             history.extend(lm_res.error_history[1:])
         lm_stalled = lm_res.termination in ("converged", "mu-exhausted")
 
-        # After a failed solve and an LM run that did not lower E, the incumbent is
-        # the point that solve failed at (the pre-round solve kept nothing).
-        if round_ == 0 or lin_improved or dE_lm > 0:
+        # (A, B, C) depends on (T, m, omega, phi) alone, which only an LM step moves
+        if dE_lm > 0:
             lin = solve_linear_subsystem(series, incumbent, threads)
-            lin_improved = lin.status == "ok" and lin.error < error
+        lin_improved = lin.status == "ok" and lin.error < error
         dE_lin = error - lin.error if lin_improved else 0.0
         if lin_improved:
             incumbent = lin.params

@@ -150,10 +150,10 @@ def test_criterion_4_linear_subsystem_exactness():
     series = generate_trace(spec)
     res = solve_linear_subsystem(series, spec.params)
     truth = np.array([5.0, 0.02, 0.05])
-    got = np.array([res.A, res.beta, res.C])
+    got = np.array([res.params.A, res.params.B, res.params.C])
     rel = np.abs(got - truth) / np.abs(truth)
     again = solve_linear_subsystem(series, res.params)
-    idem = np.abs(np.array([again.A, again.beta, again.C]) - got) / np.abs(got)
+    idem = np.abs(np.array([again.params.A, again.params.B, again.params.C]) - got) / np.abs(got)
     ok = res.status == "ok" and bool(np.all(rel < 1e-10)) and bool(np.all(idem < 1e-12))
     verdict("4 linear-exactness", ok,
             f"max rel dev {rel.max():.2e}, idempotence dev {idem.max():.2e}")
@@ -218,8 +218,7 @@ def test_criterion_7_historical_fit():
 
 
 def test_criterion_8_parallel_speedup():
-    rows = bench_command(n=100_000, thread_counts=(1, 4), repetitions=5,
-                         include_fit=False)
+    rows = bench_command(n=100_000, thread_counts=(1, 4), repetitions=5)
     speedup = next(r["speedup"] for r in rows if r["threads"] == 4)
     declared = int(os.environ.get("LPPLFIT_UNLOADED_CORES", "0"))
     gate = declared >= 4 and (os.cpu_count() or 0) >= 4

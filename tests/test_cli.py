@@ -277,6 +277,20 @@ BEST = {"params": {"A": 5.0, "B": 0.02, "T": 1100.0, "m": 0.68, "C": 0.05,
     pytest.param(json.dumps({"schema_version": 1, "best": BEST,
                              "baseline_average_error": 10**400}),
                  id="classify-int-overflow"),
+    # float() reads these strings and bools, but a report holds only JSON numbers there
+    pytest.param(json.dumps({"schema_version": 1,
+                             "best": {**BEST, "error": "nan",
+                                      "params": {**BEST["params"],
+                                                 "m": "nan", "C": "nan", "omega": "nan"}},
+                             "baseline_average_error": "nan"}),
+                 id="classify-nan-strings"),
+    pytest.param(json.dumps({"schema_version": 1, "best": BEST,
+                             "baseline_average_error": "1e400"}),
+                 id="classify-overflow-string"),
+    pytest.param(json.dumps({"schema_version": 1,
+                             "best": {**BEST, "params": {**BEST["params"], "m": True}},
+                             "baseline_average_error": 0.01}),
+                 id="classify-bool-param"),
 ])
 def test_malformed_json_is_input_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"

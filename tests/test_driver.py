@@ -265,11 +265,10 @@ class TestFitCommand:
 
 class TestBench:
     def test_rows_and_speedup_baseline(self):
-        rows = bench_command(n=2000, thread_counts=(1, 2), repetitions=2,
-                             include_fit=False)
+        rows = bench_command(n=2000, thread_counts=(1, 2), repetitions=2)
         assert [r["threads"] for r in rows] == [1, 2]
         assert rows[0]["speedup"] == pytest.approx(1.0)
-        assert all(r["evaluate_median_s"] > 0 for r in rows)
+        assert all(r["evaluate_median_s"] > 0 and r["lm_fit_10iter_s"] > 0 for r in rows)
 
     def test_n_floor(self):
         with pytest.raises(ValueError):

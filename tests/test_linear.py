@@ -28,9 +28,9 @@ class TestLinearSubsystem:
         distorted = truth.replace(A=truth.A + 1.0, B=2 * truth.B, C=-truth.C)
         res = solve_linear_subsystem(series, distorted)
         assert res.status == "ok"
-        assert res.A == pytest.approx(truth.A, rel=1e-10)
-        assert res.beta == pytest.approx(truth.B, rel=1e-10)
-        assert res.C == pytest.approx(truth.C, rel=1e-10)
+        assert res.params.A == pytest.approx(truth.A, rel=1e-10)
+        assert res.params.B == pytest.approx(truth.B, rel=1e-10)
+        assert res.params.C == pytest.approx(truth.C, rel=1e-10)
         assert res.error < 1e-20
 
     def test_idempotent(self):
@@ -40,8 +40,8 @@ class TestLinearSubsystem:
         second = solve_linear_subsystem(series, first.params)
         assert second.status == "ok"
         np.testing.assert_allclose(
-            [second.A, second.beta, second.C],
-            [first.A, first.beta, first.C],
+            [second.params.A, second.params.B, second.params.C],
+            [first.params.A, first.params.B, first.params.C],
             rtol=1e-12,
         )
 
@@ -59,7 +59,8 @@ class TestLinearSubsystem:
         X = np.column_stack([np.ones(series.n), -v, -z])
         W = np.diag(series.weights)
         coef = np.linalg.solve(X.T @ W @ X, X.T @ W @ series.log_prices)
-        np.testing.assert_allclose([res.A, res.beta, res.gamma], coef, rtol=1e-9)
+        p = res.params
+        np.testing.assert_allclose([p.A, p.B, p.B * p.C], coef, rtol=1e-9)
 
     def test_never_increases_error(self):
         spec = SynthSpec(params=PRESETS["base"].params, sigma=0.02, n=500, seed=11)
@@ -86,7 +87,14 @@ class TestLinearSubsystem:
         assert truth.C != 0
         series = generate_trace(SynthSpec(params=truth, sigma=0.0, n=1000, seed=0))
         res = solve_linear_subsystem(series, truth.replace(B=PRESETS["base"].params.B))
-        assert 0 < res.beta < B_MIN
+        # the beta that was rejected, from an independent weighted least squares
+        d = truth.T - series.indices
+        v = d**truth.m
+        z = v * np.cos(truth.omega * np.log(d) + truth.phi)
+        sw = np.sqrt(series.weights)
+        X = np.column_stack([np.ones(series.n), -v, -z]) * sw[:, None]
+        beta = np.linalg.lstsq(X, series.log_prices * sw, rcond=None)[0][1]
+        assert 0 < beta < B_MIN
         assert res.status == "nonpositive-beta"
         assert res.params is None
 
@@ -107,7 +115,8 @@ class TestLinearSubsystem:
         corrupted = series.log_prices.copy()
         corrupted[:100] = 99.0
         b = solve_linear_subsystem(PriceSeries(corrupted, w), spec.params)
-        np.testing.assert_allclose([a.A, a.beta, a.C], [b.A, b.beta, b.C], rtol=1e-12)
+        np.testing.assert_allclose([a.params.A, a.params.B, a.params.C],
+                                   [b.params.A, b.params.B, b.params.C], rtol=1e-12)
 
 
 class TestUpdateL:
@@ -216,8 +225,9 @@ def frozen_trace(k):
 
 class TestInterleaveHandOver:
     # Each round's LM run starts from the E and (g, N) that the interleave
-    # already has at the incumbent, and a linear solve that would repeat a
-    # failed one is skipped; the results are the same bits as without either.
+    # already has at the incumbent, and only a round whose LM run lowered E
+    # solves the linear sub-system again, since any other round would repeat
+    # the last solve; the results are the same bits as without either.
 
     @pytest.mark.parametrize("k, pinned", [
         (4, ("0x1.50d75aa46a3f4p+1", 180, 0, "iteration-cap")),  # base#4
@@ -267,23 +277,28 @@ class TestInterleaveHandOver:
         assert len(rounds) == 40
         assert not any(evaluated and evaluated[0] == start for start, evaluated in rounds)
 
-    def test_no_repeated_failed_solve(self, monkeypatch):
-        # oscillatory#1 has a round whose LM run does not lower E after a
-        # failed solve; the solve at that same point is not made again
-        series, seed = frozen_trace(6)
-        solved = []
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_solves_only_after_a_lowering_lm_run(self, monkeypatch, k):
+        series, seed = frozen_trace(k)
+        solved, lowered = [], []
         solve = linear.solve_linear_subsystem
 
-        def recording(series, fixed, *args):
-            solved.append(fixed)
+        def recording_solve(series, fixed, *args):
+            solved.append((fixed.T, fixed.m, fixed.omega, fixed.phi))
             return solve(series, fixed, *args)
 
-        monkeypatch.setattr(linear, "solve_linear_subsystem", recording)
+        def recording_lm_fit(series, start, *args, state, **kwargs):
+            res = lm_fit(series, start, *args, state=state, **kwargs)
+            lowered.append(res.error < state.error)
+            return res
+
+        monkeypatch.setattr(linear, "solve_linear_subsystem", recording_solve)
+        monkeypatch.setattr(linear, "lm_fit", recording_lm_fit)
         res = interleave_fit(series, seed, InterleaveConfig(max_rounds=40))
-        assert res.termination == "iteration-cap"
-        # the solve before the first round may be at round 1's point: it kept nothing
-        assert len(solved) == 40
-        assert not any(a == b for a, b in zip(solved[1:], solved[2:]))
+        assert res.termination == "iteration-cap" and len(lowered) == 40
+        # the solve before the first round, then one after each LM run that lowered E
+        assert len(solved) == 1 + sum(lowered)
+        assert not any(a == b for a, b in zip(solved, solved[1:]))
 
 
 class TestInterleaveConfig:
